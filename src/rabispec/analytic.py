@@ -13,15 +13,21 @@ At an energy eigenvalue the families are linearly dependent, so the Wronskians
 vanish; the regular spectrum is found as sign-change zeros of W_+ in E at
 z = 0, with exclusion windows around the candidate energies N - g^2 +- eps
 where the series recurrence has poles (exceptional-point territory).
+
+``wronskian_grid`` sums the four series for a whole array of energies in one
+recurrence, with parameters from the ``model`` maps; ``refine_brackets``
+refines all sign changes of the grid together by Chandrupatla's method, one
+``wronskian_grid`` call per step.  The scalar ``wronskian`` builds each series
+on its own and serves as the cross-check.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 import numpy as np
 
-from .model import (RabiParams, heun_params_set1_minus, heun_params_set1_plus,
-                    heun_params_set2)
+from .model import (HeunParams, RabiParams, heun_params_set1_minus,
+                    heun_params_set1_plus, heun_params_set2)
 from . import heun
 from .heun import (CONVERGED, TRUNCATED, DivergentSeriesError, HeunSeries,
                    build_series, eval_series)
@@ -32,7 +38,6 @@ PLUS = "plus"
 MINUS = "minus"
 
 W_EXCL_DEFAULT = 1e-3
-BISECT_MAX_ITER = 200
 
 
 class ScalePoleError(ValueError):
@@ -170,38 +175,17 @@ def exceptional_candidates(p: RabiParams, e_min: float, e_max: float):
     return out
 
 
-def _series_param_rows(E, g, delta, eps):
-    """Per-series (alpha, beta, gamma, delta, eta, coord) rows for the four
-    components, with E an array.  coord is "x1" or "x2"."""
-    g2 = g * g
-    d2 = delta * delta
-    al = 4.0 * g2
-    b1 = -(E + eps + g2 + 1.0)
-    c1 = -(E - eps + g2)
-    d1 = -2.0 * (1.0 - 2.0 * eps) * g2
-    e1 = (-1.5 * g2 * g2 + (1.0 - 2.0 * E - 4.0 * eps) * g2 / 2.0
-          + (E * E + E - eps * eps + eps - 2.0 * d2 + 1.0) / 2.0)
-    b2 = -(E + eps + g2)
-    c2 = -(E - eps + g2 + 1.0)
-    d2s = 2.0 * (1.0 + 2.0 * eps) * g2
-    e2 = (-1.5 * g2 * g2 - (3.0 + 2.0 * E + 4.0 * eps) * g2 / 2.0
-          + (E * E + E - eps * eps - eps - 2.0 * d2 + 1.0) / 2.0)
-    return [
-        (al, b1, c1, d1, e1, "x1"),                  # psi_+^1
-        (al, c1, b1, -d1, e1 + d1, "x2"),            # psi_+^2
-        (al, b2, c2, d2s, e2, "x1"),                 # psi_-^1
-        (al, c2, b2, -d2s, e2 + d2s, "x2"),          # psi_-^2
-    ]
-
-
 def wronskian_grid(E: np.ndarray, p: RabiParams, z: float = 0.0,
                    n_max: int = heun.N_MAX_DEFAULT):
     """Vectorized W_+ and W_- over an array of energies.
 
-    Same arithmetic as the scalar path, advanced for all energies at once.
-    Returns (w_plus, w_minus, reliable); an element is unreliable when a
-    recurrence pole was hit, the tail rule failed to fire within n_max terms,
-    or a scale denominator is (nearly) singular.
+    Same arithmetic as the scalar path: the four series psi_+^1, psi_+^2,
+    psi_-^1, psi_-^2 advance together in one recurrence over a (4, ...)
+    stack, each row on its own coordinate x1 = (g - z)/(2g) or
+    x2 = (g + z)/(2g).  Returns (w_plus, w_minus, reliable); an element is
+    unreliable when a recurrence pole was hit before its series converged,
+    the tail rule failed to fire within n_max terms, or a scale denominator
+    is (nearly) singular.  No element depends on the other energies in E.
     """
     if p.g == 0.0:
         raise ValueError("g = 0 is not supported by the analytic path")
@@ -209,83 +193,134 @@ def wronskian_grid(E: np.ndarray, p: RabiParams, z: float = 0.0,
     g = p.g
     eps = p.epsilon
     g2 = g * g
-    x_of = {"x1": (g - z) / (2.0 * g), "x2": (g + z) / (2.0 * g)}
-    dx_of = {"x1": -1.0 / (2.0 * g), "x2": 1.0 / (2.0 * g)}
-    if any(abs(x) >= 1.0 for x in x_of.values()):
+    x1, x2 = (g - z) / (2.0 * g), (g + z) / (2.0 * g)
+    dx1, dx2 = -1.0 / (2.0 * g), 1.0 / (2.0 * g)
+    if abs(x1) >= 1.0 or abs(x2) >= 1.0:
         raise ValueError(f"z = {z} leaves the common convergence disk")
 
-    reliable = np.ones(E.shape, dtype=bool)
-    vals, ders = [], []
-    for (al, be, ga, de, et, coord) in _series_param_rows(E, g, p.delta, eps):
-        x = x_of[coord]
-        b_lin = be + ga - al - 1.0
-        b_const = et - be / 2.0 + (ga - al) * (be - 1.0) / 2.0
-        c_const = de + al * (be + ga) / 2.0
-        h_prev = np.zeros_like(E)
-        h_cur = np.ones_like(E)
-        S = np.ones_like(E)
-        Dx = np.zeros_like(E)
-        small = np.zeros(E.shape, dtype=np.int32)
-        done = np.zeros(E.shape, dtype=bool)
-        xp = 1.0                       # x**(n-1)
+    rows = [component_params(family, which, E, p)
+            for which in (PLUS, MINUS) for family in (FIRST, SECOND)]
+    hp = HeunParams(*(np.stack([np.broadcast_to(getattr(r, f.name), E.shape)
+                                for r in rows])
+                      for f in fields(HeunParams)))
+    A, B, C = heun.recurrence_abc(hp)
+    x = np.array([x1, x2, x1, x2]).reshape((4,) + (1,) * E.ndim)
+    # the only index where A(n) can vanish, found as the loop would find it
+    n_pole = np.rint(-hp.beta)
+    n_pole[np.abs(n_pole + hp.beta) > heun.POLE_EPS] = -1.0
+    pole_steps = set(n_pole[n_pole >= 1.0].tolist())
+
+    shape = hp.beta.shape
+    h_prev = np.zeros(shape)
+    h_cur = np.ones(shape)
+    S = np.ones(shape)
+    Dx = np.zeros(shape)
+    small = np.zeros(shape, dtype=np.int32)
+    done = np.zeros(shape, dtype=bool)
+    hit_pole = np.zeros(shape, dtype=bool)
+    xp = np.ones_like(x)               # x**(n-1)
+    with np.errstate(all="ignore"):
         for n in range(1, n_max + 1):
-            An = (n + be) * n
-            Bn = n * n + b_lin * n + b_const
-            Cn = c_const + al * (n - 1.0)
-            pole = np.abs(n + be) <= heun.POLE_EPS
-            if pole.any():
-                reliable &= ~pole
-            with np.errstate(all="ignore"):
-                h_new = np.where(pole, 0.0, (Bn * h_cur + Cn * h_prev) / An)
+            h_new = (B(n) * h_cur + C(n) * h_prev) / A(n)
+            if n in pole_steps:
+                pole = n_pole == n
+                hit_pole |= pole & ~done
+                h_new[pole] = 0.0
             active = ~done
             hx = h_new * xp
-            Dx += np.where(active, n * hx, 0.0)
+            np.add(Dx, n * hx, out=Dx, where=active)
             term = hx * x
-            S += np.where(active, term, 0.0)
-            with np.errstate(all="ignore"):
-                tiny = np.abs(term) <= heun.TAIL_TOL * np.abs(S)
-            small = np.where(tiny & active, small + 1, small)
-            small = np.where(~tiny & active, 0, small)
+            np.add(S, term, out=S, where=active)
+            small = np.where(np.abs(term) <= heun.TAIL_TOL * np.abs(S), small + 1, 0)
             done |= small >= heun.TAIL_RUN
             if done.all():
                 break
             h_prev, h_cur = h_cur, h_new
-            xp *= x
-        reliable &= done & np.isfinite(S) & np.isfinite(Dx)
-        vals.append(S)
-        ders.append(Dx)
+            xp = xp * x
+    reliable = np.all(done & ~hit_pole & np.isfinite(S) & np.isfinite(Dx), axis=0)
 
     den_p = E + g2 - eps              # scale of psi_+^2
     den_m = E + g2 + eps              # scale of psi_-^1
     reliable &= (np.abs(den_p) > 1e-12) & (np.abs(den_m) > 1e-12)
-    with np.errstate(all="ignore"):
-        sc_p = p.delta / den_p
-        sc_m = p.delta / den_m
     ezm = math.exp(-g * z)
     ezp = math.exp(g * z)
-    dx1, dx2 = dx_of["x1"], dx_of["x2"]
-    vp1 = ezm * vals[0]
-    dp1 = ezm * (-g * vals[0] + dx1 * ders[0])
-    vp2 = sc_p * ezp * vals[1]
-    dp2 = sc_p * ezp * (g * vals[1] + dx2 * ders[1])
-    vm1 = sc_m * ezm * vals[2]
-    dm1 = sc_m * ezm * (-g * vals[2] + dx1 * ders[2])
-    vm2 = ezp * vals[3]
-    dm2 = ezp * (g * vals[3] + dx2 * ders[3])
-    w_plus = vp2 * dp1 - vp1 * dp2
-    w_minus = vm2 * dm1 - vm1 * dm2
+    with np.errstate(all="ignore"):   # singular scales are flagged unreliable
+        sc_p = p.delta / den_p
+        sc_m = p.delta / den_m
+        vp1 = ezm * S[0]
+        dp1 = ezm * (-g * S[0] + dx1 * Dx[0])
+        vp2 = sc_p * ezp * S[1]
+        dp2 = sc_p * ezp * (g * S[1] + dx2 * Dx[1])
+        vm1 = sc_m * ezm * S[2]
+        dm1 = sc_m * ezm * (-g * S[2] + dx1 * Dx[2])
+        vm2 = ezp * S[3]
+        dm2 = ezp * (g * S[3] + dx2 * Dx[3])
+        w_plus = vp2 * dp1 - vp1 * dp2
+        w_minus = vm2 * dm1 - vm1 * dm2
     return w_plus, w_minus, reliable
+
+
+def refine_brackets(f, x1, x2, f1, f2, tol):
+    """Refine the sign changes of f in the brackets [x1, x2] all at once.
+
+    Chandrupatla's method (Adv. Eng. Softw. 28 (1997) 145): each step tries
+    inverse quadratic interpolation through the two bracket ends and the end
+    dropped last, and bisects where Chandrupatla's test finds that unsafe.
+    Every new point lies at least tol/2 inside the bracket, so the bracket
+    shrinks on every step.  ``f`` maps an array of points to
+    (values, reliable) and is called once per step, for the brackets still
+    open.  A bracket closes once it is no wider than tol (plus a few ulps of
+    its ends) or f vanishes at an end, and reports the end of smaller |f|;
+    a bracket whose new point is unreliable is dropped.  Returns
+    (roots, |f(roots)|, found), NaN where not found.
+    """
+    x1, x2, f1, f2 = (np.array(a, dtype=float) for a in (x1, x2, f1, f2))
+    root = np.full(x1.shape, np.nan)
+    resid = np.full(x1.shape, np.nan)
+    found = np.zeros(x1.shape, dtype=bool)
+    idx = np.arange(x1.size)
+    t = np.full(x1.shape, 0.5)
+    while idx.size:
+        xt = x1 + t * (x2 - x1)
+        ft, rel = f(xt)
+        rel = rel & np.isfinite(ft)
+        # xt replaces the end of its own sign; the dropped end becomes x3
+        same = np.sign(ft) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = xt, ft
+        near = np.abs(f1) < np.abs(f2)
+        xm, fm = np.where(near, x1, x2), np.where(near, f1, f2)
+        width = np.abs(x2 - x1)
+        tol_x = tol + 4.0 * np.finfo(float).eps * np.abs(xm)
+        stop = rel & ((fm == 0.0) | (width <= tol_x))
+        root[idx[stop]] = xm[stop]
+        resid[idx[stop]] = np.abs(fm[stop])
+        found[idx[stop]] = True
+        with np.errstate(all="ignore"):
+            xi = (x1 - x2) / (x3 - x2)
+            phi = (f1 - f2) / (f3 - f2)
+            iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+            t = np.where(iqi, f1 / (f2 - f1) * f3 / (f2 - f3)
+                         + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2), 0.5)
+            tl = 0.5 * tol_x / width
+        t = np.clip(t, tl, 1.0 - tl)
+        go = rel & ~stop
+        idx, x1, x2, f1, f2, t = (a[go] for a in (idx, x1, x2, f1, f2, t))
+    return root, resid, found
 
 
 def find_regular_spectrum(p: RabiParams, e_min: float, e_max: float,
                           grid_n: int = 600, tol: float = 1e-9,
                           w_excl: float = W_EXCL_DEFAULT,
                           n_max: int = heun.N_MAX_DEFAULT):
-    """Regular spectrum: sign-change zeros of W_+(E, 0), bisection-refined.
+    """Regular spectrum: sign-change zeros of W_+(E, 0) on a grid.
 
     Grid samples inside the exclusion windows around candidate energies
     N - g^2 +- eps are skipped, brackets never span a skipped or unreliable
-    sample, and refined roots landing inside a window are dropped.
+    sample, and refined roots landing inside a window are dropped.  All
+    brackets are refined together by ``refine_brackets`` to a width of tol,
+    one ``wronskian_grid`` call per step; a root's residual is |W_+| there.
     """
     from .spectrum import SpectrumPoint
 
@@ -293,63 +328,36 @@ def find_regular_spectrum(p: RabiParams, e_min: float, e_max: float,
         raise ValueError(f"need e_min < e_max, got [{e_min}, {e_max}]")
     if grid_n < 100:
         raise ValueError(f"grid_n must be >= 100, got {grid_n}")
-    excl = [E for (_, _, E) in exceptional_candidates(p, e_min - 1.0, e_max + 1.0)]
+    excl = np.array([E for (_, _, E) in
+                     exceptional_candidates(p, e_min - 1.0, e_max + 1.0)])
 
     def outside_windows(e):
-        return all(abs(e - c) > w_excl for c in excl)
+        return np.all(np.abs(e[:, None] - excl) > w_excl, axis=1)
+
+    def w_plus(e):
+        wp, _, rel = wronskian_grid(e, p, n_max=n_max)
+        return wp, rel
 
     # base grid plus samples hugging each exclusion-window edge: levels repelled
     # by a nearby pole often sit just outside the window, between grid points
-    samples = list(np.linspace(e_min, e_max, grid_n))
-    for c in excl:
-        for edge in (c - 1.02 * w_excl, c + 1.02 * w_excl,
-                     c - 2.5 * w_excl, c + 2.5 * w_excl):
-            if e_min <= edge <= e_max:
-                samples.append(edge)
-    grid = np.array(sorted(samples))
+    edges = (excl[:, None] + w_excl * np.array([-1.02, 1.02, -2.5, 2.5])).ravel()
+    grid = np.sort(np.concatenate([np.linspace(e_min, e_max, grid_n),
+                                   edges[(e_min <= edges) & (edges <= e_max)]]))
     wp, _, rel = wronskian_grid(grid, p, n_max=n_max)
-    ok = rel & np.array([outside_windows(e) for e in grid])
+    ok = rel & outside_windows(grid)
 
-    def candidate_between(a, b):
-        return any(a < c < b for c in excl)
+    # neighbours form a bracket when both are usable and no candidate energy
+    # lies strictly between them
+    lo, hi = grid[:-1], grid[1:]
+    pair = (ok[:-1] & ok[1:]
+            & (np.searchsorted(excl, hi, "left") == np.searchsorted(excl, lo, "right")))
+    at_zero = (wp == 0.0) & np.append(pair, ok[-1])
+    w_lo, w_hi = wp[:-1], wp[1:]
+    brk = pair & (w_lo != 0.0) & (w_hi != 0.0) & (np.sign(w_lo) != np.sign(w_hi))
+    root, resid, found = refine_brackets(w_plus, lo[brk], hi[brk], w_lo[brk], w_hi[brk], tol)
 
-    roots = []           # (energy, residual) of exact grid zeros
-    lo_list, hi_list, flo_list = [], [], []
-    for i in range(len(grid) - 1):
-        if not (ok[i] and ok[i + 1]) or candidate_between(grid[i], grid[i + 1]):
-            continue
-        if wp[i] == 0.0:
-            roots.append((grid[i], 0.0))
-            continue
-        if wp[i + 1] != 0.0 and np.sign(wp[i]) != np.sign(wp[i + 1]):
-            lo_list.append(grid[i])
-            hi_list.append(grid[i + 1])
-            flo_list.append(wp[i])
-    if ok[-1] and wp[-1] == 0.0:
-        roots.append((grid[-1], 0.0))
-
-    if lo_list:
-        lo = np.array(lo_list)
-        hi = np.array(hi_list)
-        flo = np.array(flo_list)
-        alive = np.ones(lo.shape, dtype=bool)
-        for _ in range(BISECT_MAX_ITER):
-            if not alive.any() or (hi[alive] - lo[alive]).max() <= tol:
-                break
-            mid = 0.5 * (lo + hi)
-            fm, _, rel_m = wronskian_grid(mid, p, n_max=n_max)
-            alive &= rel_m
-            take_lo = alive & (np.sign(fm) == np.sign(flo))
-            lo = np.where(take_lo, mid, lo)
-            flo = np.where(take_lo, fm, flo)
-            hi = np.where(alive & ~take_lo, mid, hi)
-        mid = 0.5 * (lo + hi)
-        res, _, rel_m = wronskian_grid(mid, p, n_max=n_max)
-        for j in range(len(mid)):
-            if alive[j] and rel_m[j]:
-                roots.append((float(mid[j]), float(abs(res[j]))))
-
-    points = [SpectrumPoint(energy=e, kind="regular", residual=r,
-                            provenance="wronskian")
-              for (e, r) in sorted(roots) if outside_windows(e)]
-    return points
+    roots = sorted(zip(np.concatenate([grid[at_zero], root[found]]).tolist(),
+                       np.concatenate([np.zeros(at_zero.sum()), resid[found]]).tolist()))
+    keep = outside_windows(np.array([e for e, _ in roots]))
+    return [SpectrumPoint(energy=e, kind="regular", residual=r, provenance="wronskian")
+            for (e, r), k in zip(roots, keep) if k]

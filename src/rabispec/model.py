@@ -4,7 +4,8 @@ The Hamiltonian is H = omega*a^dag*a + g*sigma_x*(a^dag + a) + delta*sigma_z
 + epsilon*sigma_x.  All internal computation uses reduced units (omega = 1,
 energies given as E/omega); the CLI converts physical inputs exactly once.
 
-Energies are plain floats in reduced units throughout the package.
+Energies are plain floats in reduced units throughout the package; the Heun
+parameter maps also take a numpy array of energies.
 """
 from __future__ import annotations
 

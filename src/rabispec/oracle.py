@@ -86,9 +86,10 @@ def eigen(p: RabiParams, k: int, tol: float = 1e-9,
           want_vectors: bool = False, n_c_cap: int = N_C_CAP) -> OracleResult:
     """First k eigenvalues with cutoff-doubling convergence control.
 
-    Starts at n_c = max(40, ceil(10 (k + g^2 + |eps| + delta))) and doubles
-    until the k lowest eigenvalues move by less than tol, or the cap is hit
-    (then converged_count reports how many leading ones did stabilize).
+    Starts at n_c = max(40, ceil(10 (k + g^2 + |eps| + delta))), or at
+    n_c_cap if that is lower, and doubles until the k lowest eigenvalues move
+    by less than tol, or the cap is hit (then converged_count reports how
+    many leading ones did stabilize; 0 when there was no second solve).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -96,6 +97,7 @@ def eigen(p: RabiParams, k: int, tol: float = 1e-9,
         raise ValueError(f"tol must be positive, got {tol}")
     p = p.reduced()
     n_c = max(40, math.ceil(10.0 * (k + p.g ** 2 + abs(p.epsilon) + p.delta)))
+    n_c = min(n_c, n_c_cap)
     vals = np.linalg.eigvalsh(build_hamiltonian(p, n_c))
     converged = 0
     while 2 * n_c <= n_c_cap:
@@ -121,7 +123,11 @@ def eigen(p: RabiParams, k: int, tol: float = 1e-9,
 
 def eigen_in_window(p: RabiParams, e_min: float, e_max: float,
                     tol: float = 1e-9) -> OracleResult:
-    """All converged eigenvalues inside [e_min, e_max] (reduced units)."""
+    """The eigenvalues inside [e_min, e_max] (reduced units).
+
+    converged_count counts those of them that ``eigen`` reports converged,
+    i.e. whose index in its ascending list is below its converged_count.
+    """
     p = p.reduced()
     k = max(4, math.ceil(2.0 * (e_max + p.g ** 2 + p.delta + abs(p.epsilon) + 2.0)))
     while True:
@@ -132,7 +138,7 @@ def eigen_in_window(p: RabiParams, e_min: float, e_max: float,
     sel = (res.eigenvalues >= e_min) & (res.eigenvalues <= e_max)
     return OracleResult(eigenvalues=res.eigenvalues[sel], eigenvectors=None,
                         cutoff_used=res.cutoff_used,
-                        converged_count=int(sel.sum()))
+                        converged_count=int(np.count_nonzero(sel[:res.converged_count])))
 
 
 def eigenvector_overlap(a: SpinFockState, b: SpinFockState) -> float:

@@ -149,7 +149,9 @@ def sweep(p_template: RabiParams, axis: str, axis_range: Tuple[float, float],
           scan_grid: int = 400, oracle_tol: float = 1e-9) -> SweepResult:
     """Spectrum along a g or epsilon sweep plus exceptional-locus markers.
 
-    Per-point failures are recorded in the metadata and the sweep continues.
+    Per-point failures of the analytic path or the oracle (ValueError,
+    DivergentSeriesError, LinAlgError) are recorded in the metadata and the
+    sweep continues; an inverted e_window is rejected up front.
     Markers found by the locus scan are grouped into degenerate coincidences
     (same axis value and energy), each group oracle-audited.
     """
@@ -157,6 +159,8 @@ def sweep(p_template: RabiParams, axis: str, axis_range: Tuple[float, float],
         raise ValueError(f"steps must be >= 2, got {steps}")
     if axis not in ("g", "epsilon"):
         raise ValueError(f"axis must be 'g' or 'epsilon', got {axis!r}")
+    if not (e_window[0] < e_window[1]):
+        raise ValueError(f"invalid window [{e_window[0]}, {e_window[1]}]")
     p_template = p_template.reduced()
     lo, hi = axis_range
     axis_values = np.linspace(lo, hi, steps)
@@ -172,7 +176,8 @@ def sweep(p_template: RabiParams, axis: str, axis_range: Tuple[float, float],
         try:
             levels.append(assemble(pv, e_window, N_max=N_max, tol=tol,
                                    grid_n=grid_n, oracle_tol=oracle_tol))
-        except Exception as exc:   # keep sweeping, report the hole
+        except (ValueError, heun.DivergentSeriesError, np.linalg.LinAlgError) as exc:
+            # keep sweeping, report the hole
             failures.append({"axis_value": float(v), "error": repr(exc)})
             levels.append([])
 

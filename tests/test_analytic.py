@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from rabispec import heun
-from rabispec.analytic import (FIRST, MINUS, PLUS, SECOND, ScalePoleError,
-                               build_pair, eval_component,
+from rabispec import analytic, heun
+from rabispec.analytic import (FIRST, MINUS, PLUS, SECOND, W_EXCL_DEFAULT,
+                               ScalePoleError, build_pair, eval_component,
                                exceptional_candidates, find_regular_spectrum,
-                               wronskian, wronskian_grid)
+                               refine_brackets, wronskian, wronskian_grid)
 from rabispec.model import RabiParams
 from rabispec import oracle
 
@@ -194,3 +194,78 @@ def test_linear_dependence_at_eigenvalue():
         assert r0 == pytest.approx(r1, rel=1e-6)
         checked += 1
     assert checked >= 3
+
+
+def test_wronskian_grid_batch_independent():
+    # every element equals its own single-energy evaluation, bit for bit,
+    # including energies on window edges and on the candidate poles; 83.86
+    # converges before its pole at n = 85, which 400.0 keeps the loop reaching
+    cands = np.array([e for _, _, e in exceptional_candidates(P_EXC, -1.5, 1.5)])
+    offsets = W_EXCL_DEFAULT * np.array([-2.5, -1.02, 0.0, 1.02, 2.5])
+    edges = (cands[:, None] + offsets).ravel()
+    E = np.sort(np.concatenate([np.linspace(-1.5, 1.5, 41), edges, [83.86, 400.0]]))
+    batch = wronskian_grid(E, P_EXC)
+    assert not batch[2].all() and batch[2][E == 83.86].all()
+    for i in range(E.size):
+        alone = wronskian_grid(E[i:i + 1], P_EXC)
+        for k in range(3):
+            assert batch[k][i:i + 1].tobytes() == alone[k].tobytes()
+
+
+def _scalar_bisection(E_lo, E_hi, p, width=1e-12):
+    f_lo = wronskian(E_lo, p).w_plus
+    assert f_lo * wronskian(E_hi, p).w_plus < 0.0
+    while E_hi - E_lo > width:
+        mid = 0.5 * (E_lo + E_hi)
+        f_mid = wronskian(mid, p).w_plus
+        if np.sign(f_mid) == np.sign(f_lo):
+            E_lo, f_lo = mid, f_mid
+        else:
+            E_hi = mid
+    return 0.5 * (E_lo + E_hi)
+
+
+def test_regular_spectrum_refinement_calls(monkeypatch):
+    calls = []
+    real = analytic.wronskian_grid
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analytic, "wronskian_grid", counted)
+    pts = find_regular_spectrum(P_EXC, -1.5, 1.5)
+    assert len(pts) == 3
+    assert len(calls) <= 8
+    for q in pts:
+        ref = _scalar_bisection(q.energy - 1e-6, q.energy + 1e-6, P_EXC)
+        assert abs(q.energy - ref) <= 1e-9
+        assert q.residual == abs(real(np.array([q.energy]), P_EXC)[0][0])
+
+
+def test_refine_brackets_synthetic():
+    seen = []
+
+    def f(x):
+        seen.append(x.copy())
+        return np.cos(x), np.ones(x.shape, dtype=bool)
+
+    root, resid, found = refine_brackets(f, [1.0], [2.0], [math.cos(1.0)],
+                                         [math.cos(2.0)], 1e-10)
+    assert found[0]
+    assert abs(root[0] - math.pi / 2) <= 1e-10
+    assert resid[0] == abs(math.cos(root[0]))
+    pts = np.concatenate(seen)
+    assert np.all((1.0 < pts) & (pts < 2.0))
+    assert len(seen) < 20
+
+
+def test_refine_brackets_drops_unreliable_bracket_only():
+    def f(x):
+        return np.sin(x), ~((6.0 < x) & (x < 6.5))
+
+    lo, hi = np.array([3.0, 6.0]), np.array([3.5, 6.5])
+    root, resid, found = refine_brackets(f, lo, hi, np.sin(lo), np.sin(hi), 1e-9)
+    assert found.tolist() == [True, False]
+    assert abs(root[0] - math.pi) <= 1e-9
+    assert math.isnan(root[1]) and math.isnan(resid[1])

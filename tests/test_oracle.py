@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rabispec import oracle
 from rabispec.model import RabiParams
 from rabispec.oracle import (SpinFockState, build_hamiltonian, eigen,
                              eigen_in_window, eigenvector_overlap)
@@ -114,3 +115,23 @@ def test_validation():
         eigen(p, 0)
     with pytest.raises(ValueError):
         eigen(p, 2, tol=-1.0)
+
+
+def test_eigen_first_solve_respects_cap():
+    # the first cutoff would be 120; one solve at the cap proves nothing converged
+    res = eigen(RabiParams(g=0.8, delta=0.8, epsilon=0.5), 10, n_c_cap=100)
+    assert res.cutoff_used == 100
+    assert res.converged_count == 0
+
+
+def test_eigen_in_window_counts_only_converged(monkeypatch):
+    p = RabiParams(g=0.8, delta=0.8, epsilon=0.5)
+    full = eigen_in_window(p, -1.0, 1.0)
+    assert full.converged_count == len(full.eigenvalues) == 3
+    real = oracle.eigen
+    monkeypatch.setattr(oracle, "eigen",
+                        lambda p, k, tol=1e-9: real(p, k, tol=tol, n_c_cap=100))
+    capped = eigen_in_window(p, -1.0, 1.0)
+    assert capped.cutoff_used == 100
+    assert len(capped.eigenvalues) == 3
+    assert capped.converged_count == 0

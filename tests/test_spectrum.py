@@ -88,3 +88,28 @@ def test_sweep_validates():
         sweep(P_EXC, "g", (0.1, 0.4), steps=1, e_window=(-1, 1))
     with pytest.raises(ValueError):
         sweep(P_EXC, "x", (0.1, 0.4), steps=3, e_window=(-1, 1))
+
+
+def test_sweep_rejects_inverted_window():
+    with pytest.raises(ValueError):
+        sweep(RabiParams(g=0.1, delta=0.8, epsilon=0.1), "g", (0.05, 1.2), 3, (1.0, 0.0))
+
+
+def test_sweep_records_only_named_failures(monkeypatch):
+    from rabispec import spectrum
+
+    def failing(pv, *args, **kwargs):
+        if pv.g > 0.2:
+            raise ValueError("no spectrum here")
+        return []
+
+    monkeypatch.setattr(spectrum, "assemble", failing)
+    res = sweep(P_EXC, "g", (0.15, 0.25), steps=2, e_window=(-1.5, 1.5), N_max=1)
+    assert [f["axis_value"] for f in res.metadata["failures"]] == [0.25]
+
+    def broken(pv, *args, **kwargs):
+        raise ZeroDivisionError("a bug, not a failed point")
+
+    monkeypatch.setattr(spectrum, "assemble", broken)
+    with pytest.raises(ZeroDivisionError):
+        sweep(P_EXC, "g", (0.15, 0.25), steps=2, e_window=(-1.5, 1.5), N_max=1)

@@ -149,7 +149,7 @@ def scan_exceptional(p_template: RabiParams,
     Brackets sign changes of the signed truncation indicator on the sweep
     grid, refines by bisection, then accepts a point only if the full
     two-component residual passes and (optionally) the oracle has a matching
-    eigenvalue.
+    converged eigenvalue.
     """
     if (g_range is None) == (epsilon_range is None):
         raise ValueError("provide exactly one of g_range, epsilon_range")
@@ -189,8 +189,8 @@ def scan_exceptional(p_template: RabiParams,
                 E = candidate_energy(N, branch, pr)
                 if oracle_check:
                     orc = oracle_mod.eigen_in_window(pr, E - 0.5, E + 0.5)
-                    if (orc.eigenvalues.size == 0
-                            or np.min(np.abs(orc.eigenvalues - E)) > oracle_tol):
+                    conv = orc.eigenvalues[:orc.converged_count]
+                    if conv.size == 0 or np.min(np.abs(conv - E)) > oracle_tol:
                         continue
                 found.append(ExceptionalPoint(
                     N=N, branch=branch, energy=E, constraint_residual=res,

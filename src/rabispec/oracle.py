@@ -4,7 +4,7 @@ The Hamiltonian a^dag a + g sigma_x (a^dag + a) + delta sigma_z
 + eps sigma_x (reduced units) is assembled in the interleaved basis
 (n, down), (n, up) for n = 0..n_c, which keeps the matrix banded with
 bandwidth 3, and diagonalized with a dense symmetric eigensolver.  The cutoff
-is doubled until the requested low-lying eigenvalues are stable.
+starts small and is doubled until the requested low-lying eigenvalues agree.
 """
 from __future__ import annotations
 
@@ -66,14 +66,14 @@ def build_hamiltonian(p: RabiParams, n_c: int) -> np.ndarray:
     p = p.reduced()
     dim = 2 * (n_c + 1)
     H = np.zeros((dim, dim))
-    for n in range(n_c + 1):
-        H[2 * n, 2 * n] = n - p.delta
-        H[2 * n + 1, 2 * n + 1] = n + p.delta
-        H[2 * n, 2 * n + 1] = H[2 * n + 1, 2 * n] = p.epsilon
-        if n < n_c:
-            c = p.g * math.sqrt(n + 1.0)
-            H[2 * n, 2 * (n + 1) + 1] = H[2 * (n + 1) + 1, 2 * n] = c
-            H[2 * n + 1, 2 * (n + 1)] = H[2 * (n + 1), 2 * n + 1] = c
+    n = np.arange(n_c + 1)
+    down, up = 2 * n, 2 * n + 1
+    H[down, down] = n - p.delta
+    H[up, up] = n + p.delta
+    H[down, up] = H[up, down] = p.epsilon
+    c = p.g * np.sqrt(n[1:])              # g <n+1| a^dag |n>, n < n_c
+    H[down[:-1], up[1:]] = H[up[1:], down[:-1]] = c
+    H[up[:-1], down[1:]] = H[down[1:], up[:-1]] = c
     return H
 
 
@@ -86,18 +86,17 @@ def eigen(p: RabiParams, k: int, tol: float = 1e-9,
           want_vectors: bool = False, n_c_cap: int = N_C_CAP) -> OracleResult:
     """First k eigenvalues with cutoff-doubling convergence control.
 
-    Starts at n_c = max(40, ceil(10 (k + g^2 + |eps| + delta))), or at
-    n_c_cap if that is lower, and doubles until the k lowest eigenvalues move
-    by less than tol, or the cap is hit (then converged_count reports how
-    many leading ones did stabilize; 0 when there was no second solve).
+    Starts at n_c = min(max(16, k), n_c_cap) and doubles until the k lowest
+    eigenvalues move by less than tol, which proves them converged since
+    truncated eigenvalues fall monotonically with n_c, or the cap is hit;
+    converged_count counts the leading stable ones (0 without a 2nd solve).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not (tol > 0):
         raise ValueError(f"tol must be positive, got {tol}")
     p = p.reduced()
-    n_c = max(40, math.ceil(10.0 * (k + p.g ** 2 + abs(p.epsilon) + p.delta)))
-    n_c = min(n_c, n_c_cap)
+    n_c = min(max(16, k), n_c_cap)
     vals = np.linalg.eigvalsh(build_hamiltonian(p, n_c))
     converged = 0
     while 2 * n_c <= n_c_cap:

@@ -80,13 +80,20 @@ def assemble(p: RabiParams, e_window: Tuple[float, float], N_max: int = 4,
              tol: float = heun.TRUNC_TOL, grid_n: int = 600,
              w_excl: float = W_EXCL_DEFAULT, root_tol: float = 1e-9,
              oracle_tol: float = 1e-9) -> List[SpectrumPoint]:
-    """Merged, deduplicated, oracle-audited spectrum in the window."""
+    """Merged, deduplicated, oracle-audited spectrum in the window.
+
+    Raises LinAlgError if an oracle eigenvalue in the window is unconverged.
+    """
     e_min, e_max = e_window
     if not (e_min < e_max):
         raise ValueError(f"invalid window [{e_min}, {e_max}]")
     p = p.reduced()
     orc = oracle_mod.eigen_in_window(p, e_min, e_max, tol=oracle_tol)
     eigs = orc.eigenvalues
+    if orc.converged_count < eigs.size:
+        raise np.linalg.LinAlgError(
+            f"oracle unconverged at cutoff {orc.cutoff_used}: "
+            f"{orc.converged_count} of {eigs.size} eigenvalues in the window")
 
     if p.g == 0.0:
         # the analytic coordinate degenerates at g = 0: oracle-only mode
@@ -214,7 +221,11 @@ def sweep(p_template: RabiParams, axis: str, axis_range: Tuple[float, float],
 def _group_markers(markers: List[ExceptionalPoint], axis: str,
                    e_window: Tuple[float, float], axis_tol: float = 1e-6,
                    energy_tol: float = 1e-7) -> List[dict]:
-    """Coincident markers (same axis value and energy) form degenerate groups."""
+    """Coincident markers (same axis value and energy) form degenerate groups.
+
+    A group's oracle_degeneracy counts the converged oracle eigenvalues
+    within 1e-6 of its energy.
+    """
     def axis_of(pt):
         return pt.params.g if axis == "g" else pt.params.epsilon
 
@@ -235,7 +246,7 @@ def _group_markers(markers: List[ExceptionalPoint], axis: str,
                 group.append(other)
                 used[j] = True
         orc = oracle_mod.eigen_in_window(m.params, m.energy - 0.25, m.energy + 0.25)
-        near = np.abs(orc.eigenvalues - m.energy) <= 1e-6
+        near = np.abs(orc.eigenvalues[:orc.converged_count] - m.energy) <= 1e-6
         groups.append({
             "axis_value": axis_of(m),
             "energy": m.energy,

@@ -175,6 +175,14 @@ def test_scan_points_oracle_verified():
         assert np.min(np.abs(res.eigenvalues - pt.energy)) <= 1e-6
 
 
+def test_scan_oracle_check_needs_converged_eigenvalues(monkeypatch):
+    real = oracle.eigen
+    monkeypatch.setattr(oracle, "eigen",
+                        lambda p, k, tol=1e-9: real(p, k, tol=tol, n_c_cap=12))
+    assert scan_exceptional(P_EXC, g_range=(0.15, 0.25), N_max=1) == []
+    assert scan_exceptional(P_EXC, g_range=(0.15, 0.25), N_max=1, oracle_check=False)
+
+
 def test_divergent_partner_family():
     # at an accepted exceptional point the partner family's series diverges
     from rabispec import heun

@@ -20,6 +20,24 @@ def test_matrix_symmetric_and_banded():
                 assert H[i, j] == 0.0
 
 
+def test_build_hamiltonian_entries():
+    g, d, e = 0.3, 0.7, 0.2
+    c1, c2 = g * math.sqrt(1.0), g * math.sqrt(2.0)
+    # basis (0, down), (0, up), (1, down), (1, up), (2, down), (2, up)
+    expect = np.array([
+        [0 - d, e, 0, c1, 0, 0],
+        [e, 0 + d, c1, 0, 0, 0],
+        [0, c1, 1 - d, e, 0, c2],
+        [c1, 0, e, 1 + d, c2, 0],
+        [0, 0, 0, c2, 2 - d, e],
+        [0, 0, c2, 0, e, 2 + d]])
+    H = build_hamiltonian(RabiParams(g=g, delta=d, epsilon=e), 2)
+    assert H.shape == expect.shape
+    for i in range(6):
+        for j in range(6):
+            assert H[i, j] == expect[i, j], (i, j)
+
+
 def test_decoupled_limit_g0_eps0():
     p = RabiParams(g=0.0, delta=0.8, epsilon=0.0)
     vals = np.linalg.eigvalsh(build_hamiltonian(p, 40))
@@ -118,9 +136,9 @@ def test_validation():
 
 
 def test_eigen_first_solve_respects_cap():
-    # the first cutoff would be 120; one solve at the cap proves nothing converged
-    res = eigen(RabiParams(g=0.8, delta=0.8, epsilon=0.5), 10, n_c_cap=100)
-    assert res.cutoff_used == 100
+    # the first cutoff would be 16; one solve at the cap proves nothing converged
+    res = eigen(RabiParams(g=0.8, delta=0.8, epsilon=0.5), 10, n_c_cap=12)
+    assert res.cutoff_used == 12
     assert res.converged_count == 0
 
 
@@ -130,8 +148,31 @@ def test_eigen_in_window_counts_only_converged(monkeypatch):
     assert full.converged_count == len(full.eigenvalues) == 3
     real = oracle.eigen
     monkeypatch.setattr(oracle, "eigen",
-                        lambda p, k, tol=1e-9: real(p, k, tol=tol, n_c_cap=100))
+                        lambda p, k, tol=1e-9: real(p, k, tol=tol, n_c_cap=12))
     capped = eigen_in_window(p, -1.0, 1.0)
-    assert capped.cutoff_used == 100
+    assert capped.cutoff_used == 12
     assert len(capped.eigenvalues) == 3
     assert capped.converged_count == 0
+
+
+def test_eigen_matches_four_times_its_cutoff():
+    # two agreeing cutoffs must mean converged: compare with a much larger basis
+    rng = np.random.default_rng(5)
+    for _ in range(24):
+        p = RabiParams(g=rng.uniform(0.05, 3.0), delta=rng.uniform(0.1, 1.5),
+                       epsilon=rng.uniform(-0.6, 0.6))
+        k = int(rng.integers(1, 41))
+        res = eigen(p, k)
+        assert res.converged_count == k
+        ref = np.linalg.eigvalsh(build_hamiltonian(p, 4 * res.cutoff_used))[:k]
+        assert np.max(np.abs(res.eigenvalues - ref)) <= 1e-12, (p, k)
+
+
+def test_eigen_cutoff_ceiling():
+    assert eigen(RabiParams(g=0.8, delta=0.8, epsilon=0.5), 10).cutoff_used <= 64
+    # a spectra-like window: 4 wide from just below -g^2 - sqrt(delta^2 + eps^2)
+    g, d, e = 2.4, 0.77, 0.001
+    lo = -g ** 2 - math.hypot(d, e) - 0.05
+    res = eigen_in_window(RabiParams(g=g, delta=d, epsilon=e), lo, lo + 4.0)
+    assert res.eigenvalues.size == res.converged_count > 0
+    assert res.cutoff_used <= 256

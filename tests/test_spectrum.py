@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from rabispec.model import RabiParams
@@ -113,3 +114,32 @@ def test_sweep_records_only_named_failures(monkeypatch):
     monkeypatch.setattr(spectrum, "assemble", broken)
     with pytest.raises(ZeroDivisionError):
         sweep(P_EXC, "g", (0.15, 0.25), steps=2, e_window=(-1.5, 1.5), N_max=1)
+
+
+def _cap_oracle(monkeypatch):
+    # one solve at a cutoff below the first one: nothing converges
+    from rabispec import oracle
+    real = oracle.eigen
+    monkeypatch.setattr(oracle, "eigen",
+                        lambda p, k, tol=1e-9: real(p, k, tol=tol, n_c_cap=12))
+
+
+def test_assemble_rejects_unconverged_oracle(monkeypatch):
+    _cap_oracle(monkeypatch)
+    with pytest.raises(np.linalg.LinAlgError, match="cutoff 12"):
+        assemble(P_EXC, (-1.5, 1.5))
+    res = sweep(P_EXC, "g", (0.15, 0.25), steps=2, e_window=(-1.5, 1.5), N_max=1)
+    assert res.levels == [[], []]
+    assert all("LinAlgError" in f["error"] for f in res.metadata["failures"])
+    assert len(res.metadata["failures"]) == 2
+
+
+def test_marker_groups_count_only_converged(monkeypatch):
+    from rabispec.exceptional import scan_exceptional
+    from rabispec.spectrum import _group_markers
+    markers = scan_exceptional(P_EXC, g_range=(0.15, 0.25), N_max=1)
+    groups = _group_markers(markers, "g", (-1.5, 1.5))
+    assert [(grp["degeneracy"], grp["oracle_degeneracy"]) for grp in groups] == [(1, 1)]
+    _cap_oracle(monkeypatch)
+    groups = _group_markers(markers, "g", (-1.5, 1.5))
+    assert [(grp["degeneracy"], grp["oracle_degeneracy"]) for grp in groups] == [(1, 0)]

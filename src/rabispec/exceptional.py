@@ -17,10 +17,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .model import (RabiParams, heun_params_set1_minus, heun_params_set1_plus,
-                    heun_params_set2)
+from .model import RabiParams
 from . import heun
-from .analytic import FIRST, MINUS, PLUS, SECOND
+from .analytic import FIRST, MINUS, PLUS, SECOND, component_params, refine_brackets
 from . import oracle as oracle_mod
 
 
@@ -57,11 +56,11 @@ def candidate_energy(N: int, branch: str, p: RabiParams) -> float:
 def _component_sets(N: int, branch: str, E: float, p: RabiParams):
     """(HeunParams, truncation index) for both components of the branch family."""
     if branch == PLUS:
-        return [(heun_params_set1_plus(E, p), N),
-                (heun_params_set1_minus(E, p), N - 1)]
+        return [(component_params(FIRST, PLUS, E, p), N),
+                (component_params(FIRST, MINUS, E, p), N - 1)]
     if branch == MINUS:
-        return [(heun_params_set2(heun_params_set1_plus(E, p)), N - 1),
-                (heun_params_set2(heun_params_set1_minus(E, p)), N)]
+        return [(component_params(SECOND, PLUS, E, p), N - 1),
+                (component_params(SECOND, MINUS, E, p), N)]
     raise ValueError(f"unknown branch {branch!r}")
 
 
@@ -114,28 +113,25 @@ def closed_form_relation(N: int, branch: str, p: RabiParams) -> float:
 
 def _senior_obstruction(N: int, branch: str, p: RabiParams) -> float:
     """Signed truncation indicator of the component with index N, smooth along
-    parameter sweeps (finite across recurrence poles)."""
+    parameter sweeps (finite across recurrence poles).  ``p`` may carry an
+    array of g or epsilon."""
     E = candidate_energy(N, branch, p)
-    if branch == PLUS:
-        hp = heun_params_set1_plus(E, p)
-    else:
-        hp = heun_params_set2(heun_params_set1_minus(E, p))
+    hp = (component_params(FIRST, PLUS, E, p) if branch == PLUS
+          else component_params(SECOND, MINUS, E, p))
     return heun.truncation_obstruction(hp, N)
 
 
-def _bisect_root(f, lo, hi, flo, tol=1e-13, max_iter=200):
-    for _ in range(max_iter):
-        if hi - lo <= tol * max(1.0, abs(lo), abs(hi)):
-            break
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _locus_roots(N: int, branch: str, make, axis: np.ndarray) -> np.ndarray:
+    """Ascending roots of the (N, branch) truncation indicator along the sweep
+    axis: grid zeros, and every sign change refined by ``refine_brackets``."""
+    def f(v):
+        return _senior_obstruction(N, branch, make(v)), np.ones(v.shape, dtype=bool)
+
+    vals = f(axis)[0]
+    a, b, lo, hi = vals[:-1], vals[1:], axis[:-1], axis[1:]
+    brk = (a != 0.0) & (b != 0.0) & ((a > 0) != (b > 0))
+    root, _, found = refine_brackets(f, lo[brk], hi[brk], a[brk], b[brk], tol=1e-13)
+    return np.sort(np.concatenate([lo[a == 0.0], root[found]]))
 
 
 def scan_exceptional(p_template: RabiParams,
@@ -146,10 +142,11 @@ def scan_exceptional(p_template: RabiParams,
                      oracle_tol: float = 1e-6) -> List[ExceptionalPoint]:
     """All exceptional points along a one-parameter sweep.
 
-    Brackets sign changes of the signed truncation indicator on the sweep
-    grid, refines by bisection, then accepts a point only if the full
-    two-component residual passes and (optionally) the oracle has a matching
-    converged eigenvalue.
+    Evaluates the signed truncation indicator of each (N, branch) on the
+    whole sweep grid at once and refines all its sign changes together with
+    ``refine_brackets`` (Chandrupatla's method), then accepts a point only if
+    the full two-component residual passes and (optionally) the oracle has a
+    matching converged eigenvalue.
     """
     if (g_range is None) == (epsilon_range is None):
         raise ValueError("provide exactly one of g_range, epsilon_range")
@@ -167,21 +164,12 @@ def scan_exceptional(p_template: RabiParams,
         lo, hi = epsilon_range
         make = lambda v: RabiParams(g=p_template.g, delta=p_template.delta,
                                     epsilon=v)
-    axis = [float(v) for v in np.linspace(lo, hi, grid)]
+    axis = np.linspace(lo, hi, grid)
 
     found: List[ExceptionalPoint] = []
     for N in range(1, N_max + 1):
         for branch in (PLUS, MINUS):
-            f = lambda v: _senior_obstruction(N, branch, make(v))
-            vals = [f(v) for v in axis]
-            for i in range(grid - 1):
-                a, b = vals[i], vals[i + 1]
-                if a == 0.0:
-                    root = axis[i]
-                elif b != 0.0 and (a > 0) != (b > 0):
-                    root = _bisect_root(f, axis[i], axis[i + 1], a)
-                else:
-                    continue
+            for root in _locus_roots(N, branch, make, axis).tolist():
                 pr = make(root)
                 res = constraint_residual(N, branch, pr, tol=tol)
                 if not (res <= tol):
@@ -217,26 +205,17 @@ def find_crossings(delta: float, N1: int, N2: int, tol: float = heun.TRUNC_TOL,
     """Two-fold degeneracy where the (N1, plus) and (N2, minus) exceptional
     points coincide; possible only at eps = (N2 - N1)/2.
 
-    Root-finds the plus-branch constraint in g at that eps and accepts the
-    lowest root where the minus-branch residual also vanishes.  Returns None
-    when no such g exists in range; a degenerate locus pinned at g = 0 is
-    reported with boundary=True.
+    Finds the roots in g of the plus-branch constraint at that eps with the
+    same array scan and ``refine_brackets`` refinement as ``scan_exceptional``
+    and accepts the lowest root where the minus-branch residual also vanishes.
+    Returns None when no such g exists in range; a degenerate locus pinned at
+    g = 0 is reported with boundary=True.
     """
     if not (N2 > N1 >= 1):
         raise ValueError(f"need N2 > N1 >= 1, got ({N1}, {N2})")
     eps_star = 0.5 * (N2 - N1)
     make = lambda g: RabiParams(g=g, delta=delta, epsilon=eps_star)
-    f = lambda g: _senior_obstruction(N1, PLUS, make(g))
-    axis = [float(g) for g in np.linspace(g_lo, g_hi, grid)]
-    vals = [f(g) for g in axis]
-    for i in range(grid - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            root = axis[i]
-        elif b != 0.0 and (a > 0) != (b > 0):
-            root = _bisect_root(f, axis[i], axis[i + 1], a)
-        else:
-            continue
+    for root in _locus_roots(N1, PLUS, make, np.linspace(g_lo, g_hi, grid)).tolist():
         pr = make(root)
         if not (constraint_residual(N1, PLUS, pr, tol=tol) <= tol):
             continue

@@ -345,7 +345,8 @@ def truncation_obstruction(hp: HeunParams, N: int) -> float:
     numerator recurrence P_n = B(n) P_{n-1} + C(n) A(n-1) P_{n-2} so it stays
     finite and smooth across recurrence poles, where h_{N+1} itself is
     undefined.  Normalized to a bounded magnitude; zeros and sign changes are
-    those of the truncation condition h_{N+1} = 0.
+    those of the truncation condition h_{N+1} = 0.  The parameters may be
+    numpy arrays (one sweep axis); each element is computed as alone.
     """
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
@@ -354,7 +355,7 @@ def truncation_obstruction(hp: HeunParams, N: int) -> float:
     p = B(1)
     for k in range(2, N + 2):
         p_prev, p = p, B(k) * p + C(k) * A(k - 1) * p_prev
-        norm = max(1.0, abs(p), abs(p_prev))
+        norm = np.maximum(1.0, np.maximum(abs(p), abs(p_prev)))
         p /= norm
         p_prev /= norm
-    return p / max(1.0, abs(p))
+    return p / np.maximum(1.0, abs(p))

@@ -4,18 +4,24 @@ The Hamiltonian is H = omega*a^dag*a + g*sigma_x*(a^dag + a) + delta*sigma_z
 + epsilon*sigma_x.  All internal computation uses reduced units (omega = 1,
 energies given as E/omega); the CLI converts physical inputs exactly once.
 
-Energies are plain floats in reduced units throughout the package; the Heun
-parameter maps also take a numpy array of energies.
+Energies are plain floats in reduced units throughout the package.  The Heun
+parameter maps also take a numpy array of energies, or a ``RabiParams`` whose
+g or epsilon is an array, so that a whole sweep is mapped at once.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class RabiParams:
-    """Physical parameters: oscillator frequency, coupling, tunneling, bias."""
+    """Physical parameters: oscillator frequency, coupling, tunneling, bias.
+
+    A field may be a numpy array (a sweep axis); every entry must be finite.
+    """
 
     g: float
     delta: float
@@ -26,7 +32,9 @@ class RabiParams:
         if not (self.omega > 0):
             raise ValueError(f"omega must be positive, got {self.omega}")
         for name in ("g", "delta", "epsilon", "omega"):
-            if not math.isfinite(getattr(self, name)):
+            v = getattr(self, name)
+            # scalars keep the cheap check: one spectrum builds dozens of these
+            if not (np.isfinite(v).all() if isinstance(v, np.ndarray) else math.isfinite(v)):
                 raise ValueError(f"{name} must be finite")
 
     @property

@@ -13,10 +13,10 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .model import RabiParams, heun_params_set1_minus, heun_params_set1_plus, heun_params_set2
+from .model import RabiParams
 from . import heun
-from .analytic import (FIRST, MINUS, PLUS, SECOND, build_pair, eval_component,
-                       find_regular_spectrum)
+from .analytic import (FIRST, MINUS, PLUS, SECOND, build_pair, component_params,
+                       eval_component, find_regular_spectrum)
 from .exceptional import (candidate_energy, closed_form_relation,
                           constraint_residual, factorization_identity_check,
                           find_crossings, scan_exceptional)
@@ -270,10 +270,8 @@ def criterion_9() -> CriterionResult:
 
 
 def _component_param_sets(E, p):
-    return [heun_params_set1_plus(E, p),
-            heun_params_set1_minus(E, p),
-            heun_params_set2(heun_params_set1_plus(E, p)),
-            heun_params_set2(heun_params_set1_minus(E, p))]
+    return [component_params(family, which, E, p)
+            for family in (FIRST, SECOND) for which in (PLUS, MINUS)]
 
 
 def criterion_10() -> CriterionResult:
@@ -311,8 +309,8 @@ def criterion_10() -> CriterionResult:
     for p, branch, N in [(RabiParams(g=0.2, delta=0.8, epsilon=0.1), MINUS, 1),
                          (RabiParams(g=0.3, delta=0.8, epsilon=0.0), PLUS, 1)]:
         E = candidate_energy(N, branch, p)
-        hp = (heun_params_set1_plus(E, p) if branch == PLUS
-              else heun_params_set2(heun_params_set1_minus(E, p)))
+        hp = (component_params(FIRST, PLUS, E, p) if branch == PLUS
+              else component_params(SECOND, MINUS, E, p))
         if not heun.truncation_check(hp, N):
             closure_ok = False
             continue

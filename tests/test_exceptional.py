@@ -82,6 +82,18 @@ def test_scan_g_judd_degenerate_pair():
     assert branches == [MINUS, PLUS]
 
 
+def test_scan_g_keeps_root_with_residual_near_tol():
+    # the truncation residual at the midpoint of the final bisection bracket
+    # read 1.29e-10 here, above tol = 1e-10, so the point used to be dropped;
+    # the bracket end of smaller |indicator| has 5.6e-11
+    p = RabiParams(g=0.1, delta=0.3015827218624087, epsilon=0.10464328022869265)
+    pts = scan_exceptional(p, g_range=(0.05, 1.5), N_max=4)
+    hits = [pt for pt in pts if (pt.N, pt.branch) == (4, MINUS)
+            and abs(pt.params.g - 1.4990033584) <= 1e-9]
+    assert len(hits) == 1
+    assert hits[0].constraint_residual <= 1e-10
+
+
 def test_scan_epsilon_sign_symmetry():
     p = RabiParams(g=0.2, delta=0.8, epsilon=0.0)
     pts = scan_exceptional(p, epsilon_range=(-0.3, 0.3), N_max=1, grid=601)

@@ -258,3 +258,25 @@ def test_obstruction_finite_at_poles():
     vals = [f(g) for g in np.linspace(0.1, 0.5, 41)]
     assert all(math.isfinite(v) for v in vals)
     assert f(0.29) * f(0.31) < 0
+
+
+@pytest.mark.parametrize("axis, values", [("g", np.linspace(0.05, 1.5, 400)),
+                                          ("epsilon", np.linspace(-0.9, 0.9, 400))])
+def test_obstruction_on_an_array_matches_scalar_calls(axis, values):
+    # a whole sweep axis in one call, bit for bit as one call per point
+    from rabispec.analytic import FIRST, MINUS, PLUS, SECOND, component_params
+    from rabispec.exceptional import candidate_energy
+
+    def obstruction(N, branch, v):
+        p = RabiParams(**{"g": 0.7, "delta": 0.45, "epsilon": 0.2, axis: v})
+        E = candidate_energy(N, branch, p)
+        hp = (component_params(FIRST, PLUS, E, p) if branch == PLUS
+              else component_params(SECOND, MINUS, E, p))
+        return truncation_obstruction(hp, N)
+
+    for N in range(1, 6):
+        for branch in ("plus", "minus"):
+            got = obstruction(N, branch, values)
+            want = np.array([obstruction(N, branch, float(v)) for v in values])
+            assert got.shape == values.shape
+            assert got.tobytes() == want.tobytes()

@@ -24,6 +24,18 @@ def test_invalid_params_rejected():
         heun_params_set1_plus(0.0, RabiParams(g=0.1, delta=0.1, epsilon=0.0, omega=2.0))
 
 
+def test_array_fields_accepted_and_checked():
+    g = np.linspace(0.1, 1.0, 7)
+    p = RabiParams(g=g, delta=0.8, epsilon=0.1)
+    assert np.array_equal(heun_params_set1_plus(0.5, p).alpha, 4.0 * g * g)
+    assert np.array_equal(p.reduced().g, g)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            RabiParams(g=np.array([0.1, bad, 0.3]), delta=0.8, epsilon=0.1)
+        with pytest.raises(ValueError):
+            RabiParams(g=0.2, delta=0.8, epsilon=np.array([bad, 0.1]))
+
+
 def test_set1_plus_zero_point():
     hp = heun_params_set1_plus(0.0, RabiParams(g=0.0, delta=0.0, epsilon=0.0))
     assert (hp.alpha, hp.beta, hp.gamma, hp.delta, hp.eta) == (0.0, -1.0, 0.0, 0.0, 0.5)

@@ -15,10 +15,14 @@ z = 0, with exclusion windows around the candidate energies N - g^2 +- eps
 where the series recurrence has poles (exceptional-point territory).
 
 ``wronskian_grid`` sums the four series for a whole array of energies in one
-recurrence, with parameters from the ``model`` maps; ``refine_brackets``
-refines all sign changes of the grid together by Chandrupatla's method, one
-``wronskian_grid`` call per step.  The scalar ``wronskian`` builds each series
-on its own and serves as the cross-check.
+recurrence, with parameters from the ``model`` maps; g, delta and eps may be
+arrays, one entry per energy, since at z = 0 every parameter point puts its
+series at x = 1/2.  ``find_regular_spectra`` therefore searches many points
+(a sweep) as one batch: their sign grids share one ``wronskian_grid`` call,
+and ``refine_brackets`` refines the sign changes of all of them together by
+Chandrupatla's method, one ``wronskian_grid`` call per step.
+``find_regular_spectrum`` is the one-point case.  The scalar ``wronskian``
+builds each series on its own and serves as the cross-check.
 """
 from __future__ import annotations
 
@@ -182,12 +186,17 @@ def wronskian_grid(E: np.ndarray, p: RabiParams, z: float = 0.0,
     Same arithmetic as the scalar path: the four series psi_+^1, psi_+^2,
     psi_-^1, psi_-^2 advance together in one recurrence over a (4, ...)
     stack, each row on its own coordinate x1 = (g - z)/(2g) or
-    x2 = (g + z)/(2g).  Returns (w_plus, w_minus, reliable); an element is
-    unreliable when a recurrence pole was hit before its series converged,
+    x2 = (g + z)/(2g).  The fields g, delta and epsilon of ``p`` may be
+    arrays that broadcast against E, so that energies of different parameter
+    points share one stack.  Returns (w_plus, w_minus, reliable); an element
+    is unreliable when a recurrence pole was hit before its series converged,
     the tail rule failed to fire within n_max terms, or a scale denominator
-    is (nearly) singular.  No element depends on the other energies in E.
+    is (nearly) singular.  No element depends on the other elements of the
+    batch.
     """
-    if p.g == 0.0:
+    # count_nonzero: np.any costs a few microseconds more on a scalar p, and
+    # a refinement step calls this kernel for a handful of energies
+    if np.count_nonzero(p.g == 0.0):
         raise ValueError("g = 0 is not supported by the analytic path")
     E = np.asarray(E, dtype=float)
     g = p.g
@@ -195,7 +204,8 @@ def wronskian_grid(E: np.ndarray, p: RabiParams, z: float = 0.0,
     g2 = g * g
     x1, x2 = (g - z) / (2.0 * g), (g + z) / (2.0 * g)
     dx1, dx2 = -1.0 / (2.0 * g), 1.0 / (2.0 * g)
-    if abs(x1) >= 1.0 or abs(x2) >= 1.0:
+    x = np.array([x1, x2, x1, x2])
+    if np.count_nonzero(np.abs(x) >= 1.0):
         raise ValueError(f"z = {z} leaves the common convergence disk")
 
     rows = [component_params(family, which, E, p)
@@ -204,7 +214,7 @@ def wronskian_grid(E: np.ndarray, p: RabiParams, z: float = 0.0,
                                 for r in rows])
                       for f in fields(HeunParams)))
     A, B, C = heun.recurrence_abc(hp)
-    x = np.array([x1, x2, x1, x2]).reshape((4,) + (1,) * E.ndim)
+    x = x.reshape((4,) + (1,) * (E.ndim + 1 - x.ndim) + x.shape[1:])
     # the only index where A(n) can vanish, found as the loop would find it
     n_pole = np.rint(-hp.beta)
     n_pole[np.abs(n_pole + hp.beta) > heun.POLE_EPS] = -1.0
@@ -242,8 +252,8 @@ def wronskian_grid(E: np.ndarray, p: RabiParams, z: float = 0.0,
     den_p = E + g2 - eps              # scale of psi_+^2
     den_m = E + g2 + eps              # scale of psi_-^1
     reliable &= (np.abs(den_p) > 1e-12) & (np.abs(den_m) > 1e-12)
-    ezm = math.exp(-g * z)
-    ezp = math.exp(g * z)
+    ezm = np.exp(-g * z)
+    ezp = np.exp(g * z)
     with np.errstate(all="ignore"):   # singular scales are flagged unreliable
         sc_p = p.delta / den_p
         sc_m = p.delta / den_m
@@ -260,7 +270,7 @@ def wronskian_grid(E: np.ndarray, p: RabiParams, z: float = 0.0,
     return w_plus, w_minus, reliable
 
 
-def refine_brackets(f, x1, x2, f1, f2, tol):
+def refine_brackets(f, x1, x2, f1, f2, tol, *per_bracket):
     """Refine the sign changes of f in the brackets [x1, x2] all at once.
 
     Chandrupatla's method (Adv. Eng. Softw. 28 (1997) 145): each step tries
@@ -269,12 +279,15 @@ def refine_brackets(f, x1, x2, f1, f2, tol):
     Every new point lies at least tol/2 inside the bracket, so the bracket
     shrinks on every step.  ``f`` maps an array of points to
     (values, reliable) and is called once per step, for the brackets still
-    open.  A bracket closes once it is no wider than tol (plus a few ulps of
-    its ends) or f vanishes at an end, and reports the end of smaller |f|;
-    a bracket whose new point is unreliable is dropped.  Returns
+    open; trailing ``per_bracket`` arrays (one entry per bracket) are cut
+    to the open brackets with them and passed to ``f`` after the points.  A
+    bracket closes once it is no wider than tol (plus a few ulps of its
+    ends) or f vanishes at an end, and reports the end of smaller |f|; a
+    bracket whose new point is unreliable is dropped.  Returns
     (roots, |f(roots)|, found), NaN where not found.
     """
     x1, x2, f1, f2 = (np.array(a, dtype=float) for a in (x1, x2, f1, f2))
+    per_bracket = [np.asarray(a) for a in per_bracket]
     root = np.full(x1.shape, np.nan)
     resid = np.full(x1.shape, np.nan)
     found = np.zeros(x1.shape, dtype=bool)
@@ -282,7 +295,7 @@ def refine_brackets(f, x1, x2, f1, f2, tol):
     t = np.full(x1.shape, 0.5)
     while idx.size:
         xt = x1 + t * (x2 - x1)
-        ft, rel = f(xt)
+        ft, rel = f(xt, *per_bracket)
         rel = rel & np.isfinite(ft)
         # xt replaces the end of its own sign; the dropped end becomes x3
         same = np.sign(ft) == np.sign(f1)
@@ -307,20 +320,27 @@ def refine_brackets(f, x1, x2, f1, f2, tol):
         t = np.clip(t, tl, 1.0 - tl)
         go = rel & ~stop
         idx, x1, x2, f1, f2, t = (a[go] for a in (idx, x1, x2, f1, f2, t))
+        per_bracket = [a[go] for a in per_bracket]
     return root, resid, found
 
 
-def find_regular_spectrum(p: RabiParams, e_min: float, e_max: float,
-                          grid_n: int = 600, tol: float = 1e-9,
-                          w_excl: float = W_EXCL_DEFAULT,
-                          n_max: int = heun.N_MAX_DEFAULT):
-    """Regular spectrum: sign-change zeros of W_+(E, 0) on a grid.
+def find_regular_spectra(points, e_min: float, e_max: float,
+                         grid_n: int = 600, tol: float = 1e-9,
+                         w_excl: float = W_EXCL_DEFAULT,
+                         n_max: int = heun.N_MAX_DEFAULT):
+    """Regular spectra of several parameter points: zeros of W_+(E, 0) in E.
 
-    Grid samples inside the exclusion windows around candidate energies
-    N - g^2 +- eps are skipped, brackets never span a skipped or unreliable
-    sample, and refined roots landing inside a window are dropped.  All
-    brackets are refined together by ``refine_brackets`` to a width of tol,
-    one ``wronskian_grid`` call per step; a root's residual is |W_+| there.
+    Each point has its own sign grid: grid_n energies plus samples hugging
+    the edges of the exclusion windows around its candidate energies
+    N - g^2 +- eps.  At z = 0 every point's series sit at x = 1/2, so the
+    grids of all points are evaluated in one ``wronskian_grid`` call with
+    per-element (g, delta, eps).  Grid samples inside a window are skipped;
+    brackets never span a skipped or unreliable sample, a candidate energy
+    or two points.  The brackets of all points are refined together by
+    ``refine_brackets`` to a width of tol, one ``wronskian_grid`` call per
+    step, and refined roots landing inside a window of their point are
+    dropped; a root's residual is |W_+| there.  Returns one ascending list
+    of SpectrumPoint per point.
     """
     from .spectrum import SpectrumPoint
 
@@ -328,36 +348,70 @@ def find_regular_spectrum(p: RabiParams, e_min: float, e_max: float,
         raise ValueError(f"need e_min < e_max, got [{e_min}, {e_max}]")
     if grid_n < 100:
         raise ValueError(f"grid_n must be >= 100, got {grid_n}")
-    excl = np.array([E for (_, _, E) in
-                     exceptional_candidates(p, e_min - 1.0, e_max + 1.0)])
+    if not all(p.is_reduced for p in points):
+        raise ValueError("expected reduced parameters (omega = 1); call reduced() first")
+    P = len(points)
+    cands = [[E for (_, _, E) in exceptional_candidates(p, e_min - 1.0, e_max + 1.0)]
+             for p in points]
+    # candidate energies per point, padded with +inf (outside every window)
+    excl = np.full((P, max(map(len, cands), default=0)), np.inf)
+    for i, c in enumerate(cands):
+        excl[i, :len(c)] = c
+    # a field that every point shares stays a scalar (one point has only
+    # such fields), so the kernel does no per-element arithmetic for it
+    per_point = {}
+    for f in ("g", "delta", "epsilon"):
+        v = np.array([getattr(p, f) for p in points], dtype=float)
+        per_point[f] = v[0] if P and (v == v[0]).all() else v
 
-    def outside_windows(e):
-        return np.all(np.abs(e[:, None] - excl) > w_excl, axis=1)
-
-    def w_plus(e):
+    def w_plus(e, k):
+        p = RabiParams(**{f: v if v.ndim == 0 else v[k] for f, v in per_point.items()})
         wp, _, rel = wronskian_grid(e, p, n_max=n_max)
         return wp, rel
 
     # base grid plus samples hugging each exclusion-window edge: levels repelled
-    # by a nearby pole often sit just outside the window, between grid points
-    edges = (excl[:, None] + w_excl * np.array([-1.02, 1.02, -2.5, 2.5])).ravel()
-    grid = np.sort(np.concatenate([np.linspace(e_min, e_max, grid_n),
-                                   edges[(e_min <= edges) & (edges <= e_max)]]))
-    wp, _, rel = wronskian_grid(grid, p, n_max=n_max)
-    ok = rel & outside_windows(grid)
+    # by a nearby pole often sit just outside the window, between grid points;
+    # the grids of all points are stacked, each ascending, in point order
+    edges = excl[:, :, None] + w_excl * np.array([-1.02, 1.02, -2.5, 2.5])
+    edges = edges.reshape(P, 4 * excl.shape[1])
+    inside = (e_min <= edges) & (edges <= e_max)
+    grid = np.concatenate([np.tile(np.linspace(e_min, e_max, grid_n), P), edges[inside]])
+    owner = np.concatenate([np.repeat(np.arange(P), grid_n), np.nonzero(inside)[0]])
+    order = np.lexsort((grid, owner))
+    grid, owner = grid[order], owner[order]
+    wp, rel = w_plus(grid, owner)
+    dist = grid[:, None] - excl[owner]
+    ok = rel & np.all(np.abs(dist) > w_excl, axis=1)
 
-    # neighbours form a bracket when both are usable and no candidate energy
-    # lies strictly between them
-    lo, hi = grid[:-1], grid[1:]
-    pair = (ok[:-1] & ok[1:]
-            & (np.searchsorted(excl, hi, "left") == np.searchsorted(excl, lo, "right")))
-    at_zero = (wp == 0.0) & np.append(pair, ok[-1])
+    # neighbours of one point form a bracket when both are usable and the
+    # same number of its candidate energies lies below each (none between)
+    lo, hi, k = grid[:-1], grid[1:], owner[:-1]
+    below = np.count_nonzero(dist > 0.0, axis=1)
+    pair = ok[:-1] & ok[1:] & (k == owner[1:]) & (below[:-1] == below[1:])
+    last = np.append(k != owner[1:], True)
+    at_zero = (wp == 0.0) & np.where(last, ok, np.append(pair, False))
     w_lo, w_hi = wp[:-1], wp[1:]
     brk = pair & (w_lo != 0.0) & (w_hi != 0.0) & (np.sign(w_lo) != np.sign(w_hi))
-    root, resid, found = refine_brackets(w_plus, lo[brk], hi[brk], w_lo[brk], w_hi[brk], tol)
+    root, resid, found = refine_brackets(w_plus, lo[brk], hi[brk], w_lo[brk], w_hi[brk],
+                                         tol, k[brk])
 
-    roots = sorted(zip(np.concatenate([grid[at_zero], root[found]]).tolist(),
-                       np.concatenate([np.zeros(at_zero.sum()), resid[found]]).tolist()))
-    keep = outside_windows(np.array([e for e, _ in roots]))
-    return [SpectrumPoint(energy=e, kind="regular", residual=r, provenance="wronskian")
-            for (e, r), k in zip(roots, keep) if k]
+    e = np.concatenate([grid[at_zero], root[found]])
+    r = np.concatenate([np.zeros(at_zero.sum()), resid[found]])
+    k = np.concatenate([owner[at_zero], k[brk][found]])
+    keep = np.all(np.abs(e[:, None] - excl[k]) > w_excl, axis=1)
+    e, r, k = e[keep], r[keep], k[keep]
+    order = np.lexsort((r, e, k))
+    out = [[] for _ in points]
+    for ki, ei, ri in zip(*(a[order].tolist() for a in (k, e, r))):
+        out[ki].append(SpectrumPoint(energy=ei, kind="regular", residual=ri,
+                                     provenance="wronskian"))
+    return out
+
+
+def find_regular_spectrum(p: RabiParams, e_min: float, e_max: float,
+                          grid_n: int = 600, tol: float = 1e-9,
+                          w_excl: float = W_EXCL_DEFAULT,
+                          n_max: int = heun.N_MAX_DEFAULT):
+    """Regular spectrum of one point: ``find_regular_spectra`` on ``[p]``."""
+    return find_regular_spectra([p], e_min, e_max, grid_n=grid_n, tol=tol,
+                                w_excl=w_excl, n_max=n_max)[0]

@@ -161,11 +161,13 @@ def cmd_sweep(args) -> int:
     lo, hi, steps = args.range
     window = (args.e_min / args.omega, args.e_max / args.omega)
     result = sweep(p, args.axis, (lo, hi), steps, window, N_max=args.n_max,
-                   grid_n=max(args.grid, 100))
+                   tol=args.tol, grid_n=max(args.grid, 100))
     meta = _base_meta(args, "sweep")
     meta.update({"axis": args.axis, "range": f"{lo}:{hi}:{steps}",
                  "e_min": args.e_min, "e_max": args.e_max, "N_max": args.n_max,
+                 "tol": args.tol,
                  "failures": len(result.metadata["failures"]),
+                 "oracle_assisted": sum(result.metadata["gap_counts"]),
                  "max_level_step": result.metadata["max_level_step"]})
     header = ["axis_value", "level_index", "E_over_omega", "kind", "N",
               "branch", "degeneracy"]
@@ -204,7 +206,8 @@ def cmd_exceptional(args) -> int:
     p = _params(args)
     lo, hi, steps = args.range
     kwargs = {"g_range": (lo, hi)} if args.axis == "g" else {"epsilon_range": (lo, hi)}
-    pts = scan_exceptional(p, N_max=args.n_max, grid=max(steps, 200), **kwargs)
+    pts = scan_exceptional(p, N_max=args.n_max, tol=args.tol, grid=max(steps, 200),
+                           **kwargs)
     meta = _base_meta(args, "exceptional")
     meta.update({"axis": args.axis, "range": f"{lo}:{hi}:{steps}",
                  "N_max": args.n_max, "tol": args.tol})

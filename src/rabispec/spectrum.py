@@ -5,6 +5,10 @@ eigenvalues that neither method reproduces are emitted as flagged gap entries
 (provenance "oracle-assisted") rather than dropped, so discrepancies stay
 visible.  Duplicates within the degeneracy tolerance collapse into one point
 with its degeneracy count.
+
+A sweep finds the regular spectra of all its points in one batched
+Wronskian search (``find_regular_spectra``) and then assembles and audits
+each point on its own, recording per-point failures.
 """
 from __future__ import annotations
 
@@ -15,7 +19,8 @@ import numpy as np
 
 from .model import RabiParams
 from . import heun
-from .analytic import MINUS, PLUS, W_EXCL_DEFAULT, find_regular_spectrum
+from .analytic import (MINUS, PLUS, W_EXCL_DEFAULT, find_regular_spectra,
+                       find_regular_spectrum)
 from .exceptional import (ExceptionalPoint, candidate_energy,
                           constraint_residual, scan_exceptional)
 from . import oracle as oracle_mod
@@ -79,10 +84,14 @@ def _cluster(values: np.ndarray, tol: float) -> List[List[int]]:
 def assemble(p: RabiParams, e_window: Tuple[float, float], N_max: int = 4,
              tol: float = heun.TRUNC_TOL, grid_n: int = 600,
              w_excl: float = W_EXCL_DEFAULT, root_tol: float = 1e-9,
-             oracle_tol: float = 1e-9) -> List[SpectrumPoint]:
+             oracle_tol: float = 1e-9, *,
+             regular: Optional[List[SpectrumPoint]] = None) -> List[SpectrumPoint]:
     """Merged, deduplicated, oracle-audited spectrum in the window.
 
-    Raises LinAlgError if an oracle eigenvalue in the window is unconverged.
+    ``regular`` is the regular spectrum of ``p`` in the window, as
+    ``find_regular_spectrum`` returns it; it is computed here when absent
+    (``sweep`` passes the points of its batched search).  Raises LinAlgError
+    if an oracle eigenvalue in the window is unconverged.
     """
     e_min, e_max = e_window
     if not (e_min < e_max):
@@ -103,9 +112,10 @@ def assemble(p: RabiParams, e_window: Tuple[float, float], N_max: int = 4,
                 for grp in _cluster(eigs, DEDUP_TOL)
                 for e in [float(np.mean(eigs[grp]))]]
 
-    candidates = find_regular_spectrum(p, e_min, e_max, grid_n=grid_n,
-                                       tol=root_tol, w_excl=w_excl)
-    candidates += _exceptional_points_at(p, e_min, e_max, N_max, tol)
+    if regular is None:
+        regular = find_regular_spectrum(p, e_min, e_max, grid_n=grid_n,
+                                        tol=root_tol, w_excl=w_excl)
+    candidates = regular + _exceptional_points_at(p, e_min, e_max, N_max, tol)
     candidates.sort(key=lambda q: q.energy)
 
     # collapse duplicates, preferring the exceptional (closed-form) entry
@@ -156,9 +166,12 @@ def sweep(p_template: RabiParams, axis: str, axis_range: Tuple[float, float],
           scan_grid: int = 400, oracle_tol: float = 1e-9) -> SweepResult:
     """Spectrum along a g or epsilon sweep plus exceptional-locus markers.
 
-    Per-point failures of the analytic path or the oracle (ValueError,
-    DivergentSeriesError, LinAlgError) are recorded in the metadata and the
-    sweep continues; an inverted e_window is rejected up front.
+    The regular spectra of all points with g != 0 come from one batched
+    ``find_regular_spectra`` search; each point is then assembled and
+    oracle-audited on its own.  Per-point failures of the analytic path or
+    the oracle (ValueError, DivergentSeriesError, LinAlgError) are recorded
+    in the metadata and the sweep continues; an inverted e_window is
+    rejected up front.
     Markers found by the locus scan are grouped into degenerate coincidences
     (same axis value and energy), each group oracle-audited.
     """
@@ -171,18 +184,23 @@ def sweep(p_template: RabiParams, axis: str, axis_range: Tuple[float, float],
     p_template = p_template.reduced()
     lo, hi = axis_range
     axis_values = np.linspace(lo, hi, steps)
+    points = [replace(p_template, **{axis: float(v)}) for v in axis_values]
+    # one batched search for every point off g = 0 (those are oracle-only)
+    with_g = [i for i, pv in enumerate(points) if pv.g != 0.0]
+    try:
+        regular = dict(zip(with_g, find_regular_spectra(
+            [points[i] for i in with_g], *e_window, grid_n=grid_n)))
+    except ValueError:
+        # a rejected argument: each assemble call meets it again, and the
+        # failure is recorded per point below
+        regular = {}
     levels: List[List[SpectrumPoint]] = []
     failures = []
-    for v in axis_values:
-        if axis == "g":
-            pv = RabiParams(g=float(v), delta=p_template.delta,
-                            epsilon=p_template.epsilon)
-        else:
-            pv = RabiParams(g=p_template.g, delta=p_template.delta,
-                            epsilon=float(v))
+    for i, (v, pv) in enumerate(zip(axis_values, points)):
         try:
             levels.append(assemble(pv, e_window, N_max=N_max, tol=tol,
-                                   grid_n=grid_n, oracle_tol=oracle_tol))
+                                   grid_n=grid_n, oracle_tol=oracle_tol,
+                                   regular=regular.get(i)))
         except (ValueError, heun.DivergentSeriesError, np.linalg.LinAlgError) as exc:
             # keep sweeping, report the hole
             failures.append({"axis_value": float(v), "error": repr(exc)})

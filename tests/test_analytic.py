@@ -6,7 +6,8 @@ import pytest
 from rabispec import analytic, heun
 from rabispec.analytic import (FIRST, MINUS, PLUS, SECOND, W_EXCL_DEFAULT,
                                ScalePoleError, build_pair, eval_component,
-                               exceptional_candidates, find_regular_spectrum,
+                               exceptional_candidates, find_regular_spectra,
+                               find_regular_spectrum,
                                refine_brackets, wronskian, wronskian_grid)
 from rabispec.model import RabiParams
 from rabispec import oracle
@@ -210,6 +211,45 @@ def test_wronskian_grid_batch_independent():
         alone = wronskian_grid(E[i:i + 1], P_EXC)
         for k in range(3):
             assert batch[k][i:i + 1].tobytes() == alone[k].tobytes()
+
+    # one stack across parameter points, shuffled so that neighbours belong to
+    # different points: each element carries its own (g, delta, eps) and equals
+    # its one-point call with a scalar p
+    pts = [P_EXC, RabiParams(g=0.4, delta=0.8, epsilon=0.1),
+           RabiParams(g=1.3, delta=0.3, epsilon=0.0),
+           RabiParams(g=0.7, delta=1.1, epsilon=0.45)]
+    E, owner = [], []
+    for j, p in enumerate(pts):
+        c = np.array([e for _, _, e in exceptional_candidates(p, -2.0, 2.0)])
+        e = np.concatenate([np.linspace(-2.0, 2.0, 17), (c[:, None] + offsets).ravel()])
+        E.append(e)
+        owner.append(np.full(e.size, j))
+    order = np.random.default_rng(0).permutation(sum(e.size for e in E))
+    E, owner = np.concatenate(E)[order], np.concatenate(owner)[order]
+    stack = RabiParams(*(np.array([getattr(p, f) for p in pts])[owner]
+                         for f in ("g", "delta", "epsilon")))
+    batch = wronskian_grid(E, stack)
+    assert not batch[2].all()
+    for i in range(E.size):
+        alone = wronskian_grid(E[i:i + 1], pts[owner[i]])
+        for k in range(3):
+            assert batch[k][i:i + 1].tobytes() == alone[k].tobytes()
+
+
+def test_regular_spectra_batch_equals_single_points():
+    # brackets never span two points (the narrow window has no candidate
+    # energy to stop one), and each point's roots and residuals are those of
+    # its own one-point search, bit for bit
+    pts = [RabiParams(g=g, delta=0.8, epsilon=eps)
+           for g in (0.1, 0.2, 0.4, 1.1) for eps in (0.0, 0.1, 0.5)]
+    for window, n_roots in (((-1.5, 3.0), 92), ((0.0, 0.3), 5)):
+        batch = find_regular_spectra(pts, *window, grid_n=300)
+        assert len(batch) == len(pts) and sum(map(len, batch)) == n_roots
+        for p, got in zip(pts, batch):
+            alone = find_regular_spectrum(p, *window, grid_n=300)
+            assert ([(q.energy, q.residual) for q in got]
+                    == [(q.energy, q.residual) for q in alone])
+    assert find_regular_spectra([], -1.5, 3.0) == []
 
 
 def _scalar_bisection(E_lo, E_hi, p, width=1e-12):

@@ -78,6 +78,15 @@ def test_sweep_two_steps(tmp_path):
     assert len(axis_vals) == 2
     markers = (tmp_path / "out.txt.markers.csv").read_text()
     assert "axis_value,N,branch,E_over_omega,degeneracy,oracle_degeneracy" in markers
+    # one oracle-assisted count over all points, one row per assisted level
+    assisted = sum(ln.split(",")[3] == "regular(oracle-assisted)" for ln in data)
+    assert f"# oracle_assisted: {assisted}" in text.splitlines()
+    code, text = run(tmp_path, "sweep", "--axis", "g", "--range", "0.15:0.25:2",
+                     "--e-min", "-1.5", "--e-max", "1.5", "--n-max", "1",
+                     "--format", "json")
+    assert code == 0
+    meta = json.loads(text)["metadata"]
+    assert meta["oracle_assisted"] == assisted and meta["tol"] == 1e-10
 
 
 def test_sweep_including_g0(tmp_path):
@@ -100,6 +109,23 @@ def test_exceptional_command(tmp_path):
     assert len(rows) == 2
     assert abs(float(rows[0].split(",")[0]) - 0.2) < 1e-9 and ",1,minus," in rows[0]
     assert abs(float(rows[1].split(",")[0]) - 0.3741657386773941) < 1e-9 and ",1,plus," in rows[1]
+
+
+def test_tol_reaches_the_locus_scan(tmp_path):
+    # no truncation residual is below 1e-30, so no point is accepted
+    code, text = run(tmp_path, "exceptional", "--g", "0.1", "--delta", "0.8",
+                     "--epsilon", "0.1", "--axis", "g", "--range", "0.05:0.6:200",
+                     "--n-max", "1", "--tol", "1e-30")
+    assert code == 0
+    assert [ln for ln in text.splitlines()
+            if ln and not ln.startswith(("#", "axis_value"))] == []
+    code, text = run(tmp_path, "sweep", "--axis", "g", "--range", "0.15:0.25:2",
+                     "--e-min", "-1.5", "--e-max", "1.5", "--n-max", "1",
+                     "--tol", "1e-30")
+    assert code == 0
+    assert "# tol: 1e-30" in text.splitlines()
+    markers = (tmp_path / "out.txt.markers.csv").read_text().splitlines()
+    assert [ln for ln in markers if ln and not ln.startswith(("#", "axis_value"))] == []
 
 
 def test_crossings_command(tmp_path):

@@ -96,6 +96,30 @@ def test_sweep_rejects_inverted_window():
         sweep(RabiParams(g=0.1, delta=0.8, epsilon=0.1), "g", (0.05, 1.2), 3, (1.0, 0.0))
 
 
+def test_sweep_is_one_wronskian_batch(monkeypatch):
+    # all points share one grid call and one refinement loop; each point's
+    # levels equal its own assemble call
+    from rabispec import analytic
+    calls = []
+    real = analytic.wronskian_grid
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    window = (-1.5, 3.0)
+    monkeypatch.setattr(analytic, "wronskian_grid", counted)
+    res = sweep(RabiParams(g=0.1, delta=0.8, epsilon=0.15), "g", (0.05, 1.2),
+                steps=6, e_window=window, N_max=2)
+    assert len(calls) <= 12
+    monkeypatch.undo()
+    assert res.metadata["failures"] == []
+    for v, lv in zip(res.axis_values, res.levels):
+        alone = assemble(RabiParams(g=float(v), delta=0.8, epsilon=0.15), window,
+                         N_max=2, grid_n=300)
+        assert [repr(q) for q in lv] == [repr(q) for q in alone]
+
+
 def test_sweep_records_only_named_failures(monkeypatch):
     from rabispec import spectrum
 

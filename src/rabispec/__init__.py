@@ -5,24 +5,10 @@ solution families; exceptional (Judd-type) eigenvalues from series truncation
 conditions; everything is cross-validated against dense Fock-basis
 diagonalization.
 """
-from .model import (HeunParams, RabiParams, heun_params_set1_minus,
-                    heun_params_set1_plus, heun_params_set2)
-from .heun import (CONVERGED, DIVERGENT, MAX_TERMS, TRUNCATED,
-                   DivergentSeriesError, HeunEval, HeunSeries, build_series,
-                   eval_series, truncation_check, truncation_obstruction)
-from .analytic import (FIRST, MINUS, PLUS, SECOND, ScalePoleError,
-                       SolutionPair, WronskianSample, build_pair,
-                       eval_component, exceptional_candidates,
-                       find_regular_spectrum, wronskian, wronskian_grid)
-from .oracle import (OracleResult, SpinFockState, build_hamiltonian, eigen,
-                     eigen_in_window, eigenvector_overlap)
-from .exceptional import (CrossingPoint, ExceptionalPoint, candidate_energy,
-                          closed_form_relation, constraint_residual,
-                          factorization_identity_check, find_crossings,
-                          pair_separation, scan_exceptional)
-from .states import (PolynomialWavefunction, closed_form_state_check,
-                     component_polynomials, fock_expand,
-                     reconstruct_exceptional_state, reexpand)
-from .spectrum import SpectrumPoint, SweepResult, assemble, sweep
+from .model import RabiParams
+from .analytic import find_regular_spectrum
+from .oracle import eigen
+from .exceptional import find_crossings, scan_exceptional
+from .spectrum import assemble, sweep
 
 __version__ = "0.1.0"

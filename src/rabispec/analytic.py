@@ -21,8 +21,9 @@ series at x = 1/2.  ``find_regular_spectra`` therefore searches many points
 (a sweep) as one batch: their sign grids share one ``wronskian_grid`` call,
 and ``refine_brackets`` refines the sign changes of all of them together by
 Chandrupatla's method, one ``wronskian_grid`` call per step.
-``find_regular_spectrum`` is the one-point case.  The scalar ``wronskian``
-builds each series on its own and serves as the cross-check.
+``find_regular_spectrum`` is the one-point case.  ``build_pair`` and
+``eval_component`` build one family's series on their own and evaluate them
+at any z, away from z = 0 too.
 """
 from __future__ import annotations
 
@@ -33,8 +34,7 @@ import numpy as np
 from .model import (HeunParams, RabiParams, heun_params_set1_minus,
                     heun_params_set1_plus, heun_params_set2)
 from . import heun
-from .heun import (CONVERGED, TRUNCATED, DivergentSeriesError, HeunSeries,
-                   build_series, eval_series)
+from .heun import HeunSeries, build_series, eval_series
 
 FIRST = "first"
 SECOND = "second"
@@ -69,16 +69,7 @@ class SolutionPair:
     params: RabiParams
 
 
-@dataclass(frozen=True)
-class WronskianSample:
-    energy: float
-    w_plus: float
-    w_minus: float
-    reliable: bool
-
-
-def build_pair(family: str, E: float, p: RabiParams,
-               n_max: int = heun.N_MAX_DEFAULT, tol: float = heun.TRUNC_TOL) -> SolutionPair:
+def build_pair(family: str, E: float, p: RabiParams) -> SolutionPair:
     """Build both components of one solution family at energy E."""
     if p.g == 0.0:
         raise ValueError("g = 0 is not supported by the analytic path; "
@@ -93,8 +84,8 @@ def build_pair(family: str, E: float, p: RabiParams,
     if abs(denom) < 1e-12 * max(1.0, abs(E)):
         raise ScalePoleError(
             f"scale denominator vanishes at E = {E} for family {family!r}")
-    plus = build_series(component_params(family, PLUS, E, p), n_max=n_max, tol=tol)
-    minus = build_series(component_params(family, MINUS, E, p), n_max=n_max, tol=tol)
+    plus = build_series(component_params(family, PLUS, E, p))
+    minus = build_series(component_params(family, MINUS, E, p))
     if family == FIRST:
         scale_plus, scale_minus = 1.0, p.delta / denom
     else:
@@ -102,7 +93,8 @@ def build_pair(family: str, E: float, p: RabiParams,
     return SolutionPair(family, plus, minus, scale_plus, scale_minus, E, p)
 
 
-def _eval_component_full(pair: SolutionPair, which: str, z: float):
+def eval_component(pair: SolutionPair, which: str, z: float):
+    """(value, d/dz) of one component at z, including prefactor and chain rule."""
     g = pair.params.g
     if pair.family == FIRST:
         x = (g - z) / (2.0 * g)
@@ -120,43 +112,7 @@ def _eval_component_full(pair: SolutionPair, which: str, z: float):
         raise ValueError(f"unknown component {which!r}")
     ev = eval_series(series, x)
     pref = scale * math.exp(s * z)
-    value = pref * ev.value
-    deriv = pref * (s * ev.value + ev.derivative * dxdz)
-    return value, deriv, ev.status
-
-
-def eval_component(pair: SolutionPair, which: str, z: float):
-    """(value, d/dz) of one component at z, including prefactor and chain rule."""
-    value, deriv, _ = _eval_component_full(pair, which, z)
-    return value, deriv
-
-
-def wronskian(E: float, p: RabiParams, z: float = 0.0,
-              n_max: int = heun.N_MAX_DEFAULT, tol: float = heun.TRUNC_TOL) -> WronskianSample:
-    """Both Wronskians at one energy; unreliable when any series misbehaves.
-
-    At z = 0 the identity W_+(E; eps) = W_-(E; -eps) holds and serves as a
-    cross-check.
-    """
-    try:
-        first = build_pair(FIRST, E, p, n_max=n_max, tol=tol)
-        second = build_pair(SECOND, E, p, n_max=n_max, tol=tol)
-    except ScalePoleError:
-        return WronskianSample(E, math.nan, math.nan, False)
-    build_statuses = [first.plus_series.status, first.minus_series.status,
-                      second.plus_series.status, second.minus_series.status]
-    reliable = all(s in (CONVERGED, TRUNCATED) for s in build_statuses)
-    try:
-        vp1, dp1, s1 = _eval_component_full(first, PLUS, z)
-        vp2, dp2, s2 = _eval_component_full(second, PLUS, z)
-        vm1, dm1, s3 = _eval_component_full(first, MINUS, z)
-        vm2, dm2, s4 = _eval_component_full(second, MINUS, z)
-    except DivergentSeriesError:
-        return WronskianSample(E, math.nan, math.nan, False)
-    reliable &= all(s in (CONVERGED, TRUNCATED) for s in (s1, s2, s3, s4))
-    w_plus = vp2 * dp1 - vp1 * dp2
-    w_minus = vm2 * dm1 - vm1 * dm2
-    return WronskianSample(E, w_plus, w_minus, reliable)
+    return pref * ev.value, pref * (s * ev.value + ev.derivative * dxdz)
 
 
 def exceptional_candidates(p: RabiParams, e_min: float, e_max: float):
@@ -179,20 +135,19 @@ def exceptional_candidates(p: RabiParams, e_min: float, e_max: float):
     return out
 
 
-def wronskian_grid(E: np.ndarray, p: RabiParams, z: float = 0.0,
-                   n_max: int = heun.N_MAX_DEFAULT):
-    """Vectorized W_+ and W_- over an array of energies.
+def wronskian_grid(E: np.ndarray, p: RabiParams):
+    """Vectorized W_+(E, 0) and W_-(E, 0) over an array of energies.
 
-    Same arithmetic as the scalar path: the four series psi_+^1, psi_+^2,
-    psi_-^1, psi_-^2 advance together in one recurrence over a (4, ...)
-    stack, each row on its own coordinate x1 = (g - z)/(2g) or
-    x2 = (g + z)/(2g).  The fields g, delta and epsilon of ``p`` may be
-    arrays that broadcast against E, so that energies of different parameter
+    The four series psi_+^1, psi_+^2, psi_-^1, psi_-^2 advance together in
+    one recurrence over a (4, ...) stack.  At z = 0 both coordinates
+    (g -+ z)/(2g) equal 1/2 and the prefactors exp(-+g z) equal 1, whatever
+    the parameters, so the fields g, delta and epsilon of ``p`` may be
+    arrays that broadcast against E and energies of different parameter
     points share one stack.  Returns (w_plus, w_minus, reliable); an element
     is unreliable when a recurrence pole was hit before its series converged,
-    the tail rule failed to fire within n_max terms, or a scale denominator
-    is (nearly) singular.  No element depends on the other elements of the
-    batch.
+    the tail rule failed to fire within heun.N_MAX_DEFAULT terms, or a scale
+    denominator is (nearly) singular.  No element depends on the other
+    elements of the batch.
     """
     # count_nonzero: np.any costs a few microseconds more on a scalar p, and
     # a refinement step calls this kernel for a handful of energies
@@ -202,11 +157,7 @@ def wronskian_grid(E: np.ndarray, p: RabiParams, z: float = 0.0,
     g = p.g
     eps = p.epsilon
     g2 = g * g
-    x1, x2 = (g - z) / (2.0 * g), (g + z) / (2.0 * g)
     dx1, dx2 = -1.0 / (2.0 * g), 1.0 / (2.0 * g)
-    x = np.array([x1, x2, x1, x2])
-    if np.count_nonzero(np.abs(x) >= 1.0):
-        raise ValueError(f"z = {z} leaves the common convergence disk")
 
     rows = [component_params(family, which, E, p)
             for which in (PLUS, MINUS) for family in (FIRST, SECOND)]
@@ -214,7 +165,6 @@ def wronskian_grid(E: np.ndarray, p: RabiParams, z: float = 0.0,
                                 for r in rows])
                       for f in fields(HeunParams)))
     A, B, C = heun.recurrence_abc(hp)
-    x = x.reshape((4,) + (1,) * (E.ndim + 1 - x.ndim) + x.shape[1:])
     # the only index where A(n) can vanish, found as the loop would find it
     n_pole = np.rint(-hp.beta)
     n_pole[np.abs(n_pole + hp.beta) > heun.POLE_EPS] = -1.0
@@ -228,9 +178,9 @@ def wronskian_grid(E: np.ndarray, p: RabiParams, z: float = 0.0,
     small = np.zeros(shape, dtype=np.int32)
     done = np.zeros(shape, dtype=bool)
     hit_pole = np.zeros(shape, dtype=bool)
-    xp = np.ones_like(x)               # x**(n-1)
+    xp = 1.0                           # (1/2)**(n-1)
     with np.errstate(all="ignore"):
-        for n in range(1, n_max + 1):
+        for n in range(1, heun.N_MAX_DEFAULT + 1):
             h_new = (B(n) * h_cur + C(n) * h_prev) / A(n)
             if n in pole_steps:
                 pole = n_pole == n
@@ -239,32 +189,30 @@ def wronskian_grid(E: np.ndarray, p: RabiParams, z: float = 0.0,
             active = ~done
             hx = h_new * xp
             np.add(Dx, n * hx, out=Dx, where=active)
-            term = hx * x
+            term = hx * 0.5
             np.add(S, term, out=S, where=active)
             small = np.where(np.abs(term) <= heun.TAIL_TOL * np.abs(S), small + 1, 0)
             done |= small >= heun.TAIL_RUN
             if done.all():
                 break
             h_prev, h_cur = h_cur, h_new
-            xp = xp * x
+            xp = xp * 0.5
     reliable = np.all(done & ~hit_pole & np.isfinite(S) & np.isfinite(Dx), axis=0)
 
     den_p = E + g2 - eps              # scale of psi_+^2
     den_m = E + g2 + eps              # scale of psi_-^1
     reliable &= (np.abs(den_p) > 1e-12) & (np.abs(den_m) > 1e-12)
-    ezm = np.exp(-g * z)
-    ezp = np.exp(g * z)
     with np.errstate(all="ignore"):   # singular scales are flagged unreliable
         sc_p = p.delta / den_p
         sc_m = p.delta / den_m
-        vp1 = ezm * S[0]
-        dp1 = ezm * (-g * S[0] + dx1 * Dx[0])
-        vp2 = sc_p * ezp * S[1]
-        dp2 = sc_p * ezp * (g * S[1] + dx2 * Dx[1])
-        vm1 = sc_m * ezm * S[2]
-        dm1 = sc_m * ezm * (-g * S[2] + dx1 * Dx[2])
-        vm2 = ezp * S[3]
-        dm2 = ezp * (g * S[3] + dx2 * Dx[3])
+        vp1 = S[0]
+        dp1 = -g * S[0] + dx1 * Dx[0]
+        vp2 = sc_p * S[1]
+        dp2 = sc_p * (g * S[1] + dx2 * Dx[1])
+        vm1 = sc_m * S[2]
+        dm1 = sc_m * (-g * S[2] + dx1 * Dx[2])
+        vm2 = S[3]
+        dm2 = g * S[3] + dx2 * Dx[3]
         w_plus = vp2 * dp1 - vp1 * dp2
         w_minus = vm2 * dm1 - vm1 * dm2
     return w_plus, w_minus, reliable
@@ -326,8 +274,7 @@ def refine_brackets(f, x1, x2, f1, f2, tol, *per_bracket):
 
 def find_regular_spectra(points, e_min: float, e_max: float,
                          grid_n: int = 600, tol: float = 1e-9,
-                         w_excl: float = W_EXCL_DEFAULT,
-                         n_max: int = heun.N_MAX_DEFAULT):
+                         w_excl: float = W_EXCL_DEFAULT):
     """Regular spectra of several parameter points: zeros of W_+(E, 0) in E.
 
     Each point has its own sign grid: grid_n energies plus samples hugging
@@ -366,7 +313,7 @@ def find_regular_spectra(points, e_min: float, e_max: float,
 
     def w_plus(e, k):
         p = RabiParams(**{f: v if v.ndim == 0 else v[k] for f, v in per_point.items()})
-        wp, _, rel = wronskian_grid(e, p, n_max=n_max)
+        wp, _, rel = wronskian_grid(e, p)
         return wp, rel
 
     # base grid plus samples hugging each exclusion-window edge: levels repelled
@@ -410,8 +357,7 @@ def find_regular_spectra(points, e_min: float, e_max: float,
 
 def find_regular_spectrum(p: RabiParams, e_min: float, e_max: float,
                           grid_n: int = 600, tol: float = 1e-9,
-                          w_excl: float = W_EXCL_DEFAULT,
-                          n_max: int = heun.N_MAX_DEFAULT):
+                          w_excl: float = W_EXCL_DEFAULT):
     """Regular spectrum of one point: ``find_regular_spectra`` on ``[p]``."""
     return find_regular_spectra([p], e_min, e_max, grid_n=grid_n, tol=tol,
-                                w_excl=w_excl, n_max=n_max)[0]
+                                w_excl=w_excl)[0]

@@ -3,7 +3,8 @@
 Inputs are taken in physical units (--omega sets the scale, default 1) and
 converted to reduced units exactly once at config parse; all emitted energies
 are E/omega.  Output is CSV with a '#'-prefixed metadata header, or JSON with
-the same schema; both are deterministic for a fixed config and seed.
+the same schema; both are deterministic for a fixed config (and, for
+``verify``, seed).
 
 Exit codes: 0 success, 1 verification failure, 2 bad arguments, 3 I/O error.
 """
@@ -121,7 +122,7 @@ def cmd_wronskian_scan(args) -> int:
                                                      tol=args.tol)]
     cands = []
     for (N, branch, E) in exceptional_candidates(p, e_min, e_max):
-        is_exc = N >= 1 and constraint_residual(N, branch, p) <= 1e-10
+        is_exc = N >= 1 and constraint_residual(N, branch, p, tol=args.tol) <= args.tol
         cands.append((N, branch, E, is_exc))
     if args.format == "csv":
         footer = [f"# zero: E_over_omega={_fmt(z)}" for z in zeros]
@@ -291,7 +292,6 @@ def _add_common(sub, *, energy_window=False, grid=None):
     sub.add_argument("--tol", type=float, default=1e-10, help="acceptance tolerance")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", default="-", help="output path ('-' for stdout)")
-    sub.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
 
 
 def build_parser() -> argparse.ArgumentParser:

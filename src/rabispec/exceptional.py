@@ -138,15 +138,15 @@ def scan_exceptional(p_template: RabiParams,
                      g_range: Optional[Tuple[float, float]] = None,
                      epsilon_range: Optional[Tuple[float, float]] = None,
                      N_max: int = 4, tol: float = heun.TRUNC_TOL,
-                     grid: int = 400, oracle_check: bool = True,
-                     oracle_tol: float = 1e-6) -> List[ExceptionalPoint]:
+                     grid: int = 400,
+                     oracle_check: bool = True) -> List[ExceptionalPoint]:
     """All exceptional points along a one-parameter sweep.
 
     Evaluates the signed truncation indicator of each (N, branch) on the
     whole sweep grid at once and refines all its sign changes together with
     ``refine_brackets`` (Chandrupatla's method), then accepts a point only if
     the full two-component residual passes and (optionally) the oracle has a
-    matching converged eigenvalue.
+    converged eigenvalue within 1e-6 of it.
     """
     if (g_range is None) == (epsilon_range is None):
         raise ValueError("provide exactly one of g_range, epsilon_range")
@@ -178,7 +178,7 @@ def scan_exceptional(p_template: RabiParams,
                 if oracle_check:
                     orc = oracle_mod.eigen_in_window(pr, E - 0.5, E + 0.5)
                     conv = orc.eigenvalues[:orc.converged_count]
-                    if conv.size == 0 or np.min(np.abs(conv - E)) > oracle_tol:
+                    if conv.size == 0 or np.min(np.abs(conv - E)) > 1e-6:
                         continue
                 found.append(ExceptionalPoint(
                     N=N, branch=branch, energy=E, constraint_residual=res,

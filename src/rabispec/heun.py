@@ -170,13 +170,13 @@ def _resolve_pole(hp, h, runmax, k, tol):
 
 
 def build_series(hp: HeunParams, n_max: int = N_MAX_DEFAULT,
-                 tol: float = TRUNC_TOL, conv_x: float = 0.5) -> HeunSeries:
+                 tol: float = TRUNC_TOL) -> HeunSeries:
     """Build the coefficient sequence and classify it.
 
-    ``conv_x`` is the evaluation point used for the convergence status (the
-    package evaluates at x = 1/2 throughout); coefficients are stored up to
-    n_max regardless so the series can be re-summed at other points inside
-    the unit disk.
+    The convergence status is that of the sum at x = 1/2, where both
+    solution families sit at z = 0; coefficients are stored up to n_max
+    regardless so the series can be re-summed at other points inside the
+    unit disk.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
@@ -190,9 +190,8 @@ def build_series(hp: HeunParams, n_max: int = N_MAX_DEFAULT,
     scale_now = 0
     runmax = 1.0
     prev2, prev1 = 0.0, 1.0           # h_{n-2}, h_{n-1} in the current scale
-    # convergence-tail state at conv_x
+    # convergence-tail state at x = 1/2
     partial = 1.0
-    xp_mant, xp_exp = math.frexp(1.0)  # conv_x**(n-1) as mantissa/exponent
     small_run = 0
     tail_fired = False
 
@@ -235,13 +234,9 @@ def build_series(hp: HeunParams, n_max: int = N_MAX_DEFAULT,
             return HeunSeries(hp, np.asarray(hh), np.asarray(sc, dtype=np.int64),
                               TRUNCATED, trunc_index=n_tr)
 
-        # convergence tail at conv_x; (xp_mant, xp_exp) tracks conv_x**n
+        # convergence tail at x = 1/2: the term h_n 2**-n
         if not tail_fired:
-            xp_mant *= conv_x
-            if xp_mant != 0.0:
-                mm, ee = math.frexp(xp_mant)
-                xp_mant, xp_exp = mm, xp_exp + ee
-            term = _ldexp_safe(hn * xp_mant, scale_now + xp_exp)
+            term = _ldexp_safe(hn, scale_now - n)
             partial += term
             if (math.isfinite(partial) and math.isfinite(term)
                     and abs(term) <= TAIL_TOL * abs(partial)):
@@ -315,27 +310,6 @@ def eval_series(series: HeunSeries, x: float) -> HeunEval:
             mm, ee = math.frexp(xp_mant)
             xp_mant, xp_exp = mm, xp_exp + ee
     return HeunEval(value, deriv, len(coeffs), MAX_TERMS)
-
-
-def truncation_check(hp: HeunParams, N: int, tol: float = TRUNC_TOL) -> bool:
-    """True iff the series terminates as a degree-N polynomial.
-
-    Requires both the closing condition delta = -(N + (gamma+beta+2)/2) alpha
-    and a vanishing recurrence-built h_{N+1}; together these force h_n = 0
-    for every n > N.
-    """
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
-    closing = hp.delta + (N + (hp.gamma + hp.beta + 2.0) / 2.0) * hp.alpha
-    if abs(closing) > tol * max(1.0, abs(hp.delta)):
-        return False
-    series = build_series(hp, n_max=max(N + 4, 2), tol=tol)
-    if series.status == DIVERGENT:
-        return False
-    if series.status == TRUNCATED and series.trunc_index <= N:
-        return True
-    hs = [series.coefficient(k) for k in range(N + 2)]
-    return abs(hs[N + 1]) <= tol * max(abs(v) for v in hs[:N + 1])
 
 
 def truncation_obstruction(hp: HeunParams, N: int) -> float:

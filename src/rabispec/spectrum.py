@@ -19,8 +19,7 @@ import numpy as np
 
 from .model import RabiParams
 from . import heun
-from .analytic import (MINUS, PLUS, W_EXCL_DEFAULT, find_regular_spectra,
-                       find_regular_spectrum)
+from .analytic import MINUS, PLUS, find_regular_spectra, find_regular_spectrum
 from .exceptional import (ExceptionalPoint, candidate_energy,
                           constraint_residual, scan_exceptional)
 from . import oracle as oracle_mod
@@ -82,9 +81,7 @@ def _cluster(values: np.ndarray, tol: float) -> List[List[int]]:
 
 
 def assemble(p: RabiParams, e_window: Tuple[float, float], N_max: int = 4,
-             tol: float = heun.TRUNC_TOL, grid_n: int = 600,
-             w_excl: float = W_EXCL_DEFAULT, root_tol: float = 1e-9,
-             oracle_tol: float = 1e-9, *,
+             tol: float = heun.TRUNC_TOL, grid_n: int = 600, *,
              regular: Optional[List[SpectrumPoint]] = None) -> List[SpectrumPoint]:
     """Merged, deduplicated, oracle-audited spectrum in the window.
 
@@ -97,7 +94,7 @@ def assemble(p: RabiParams, e_window: Tuple[float, float], N_max: int = 4,
     if not (e_min < e_max):
         raise ValueError(f"invalid window [{e_min}, {e_max}]")
     p = p.reduced()
-    orc = oracle_mod.eigen_in_window(p, e_min, e_max, tol=oracle_tol)
+    orc = oracle_mod.eigen_in_window(p, e_min, e_max)
     eigs = orc.eigenvalues
     if orc.converged_count < eigs.size:
         raise np.linalg.LinAlgError(
@@ -113,8 +110,7 @@ def assemble(p: RabiParams, e_window: Tuple[float, float], N_max: int = 4,
                 for e in [float(np.mean(eigs[grp]))]]
 
     if regular is None:
-        regular = find_regular_spectrum(p, e_min, e_max, grid_n=grid_n,
-                                        tol=root_tol, w_excl=w_excl)
+        regular = find_regular_spectrum(p, e_min, e_max, grid_n=grid_n)
     candidates = regular + _exceptional_points_at(p, e_min, e_max, N_max, tol)
     candidates.sort(key=lambda q: q.energy)
 
@@ -162,8 +158,7 @@ def assemble(p: RabiParams, e_window: Tuple[float, float], N_max: int = 4,
 
 def sweep(p_template: RabiParams, axis: str, axis_range: Tuple[float, float],
           steps: int, e_window: Tuple[float, float], N_max: int = 2,
-          tol: float = heun.TRUNC_TOL, grid_n: int = 300,
-          scan_grid: int = 400, oracle_tol: float = 1e-9) -> SweepResult:
+          tol: float = heun.TRUNC_TOL, grid_n: int = 300) -> SweepResult:
     """Spectrum along a g or epsilon sweep plus exceptional-locus markers.
 
     The regular spectra of all points with g != 0 come from one batched
@@ -199,16 +194,14 @@ def sweep(p_template: RabiParams, axis: str, axis_range: Tuple[float, float],
     for i, (v, pv) in enumerate(zip(axis_values, points)):
         try:
             levels.append(assemble(pv, e_window, N_max=N_max, tol=tol,
-                                   grid_n=grid_n, oracle_tol=oracle_tol,
-                                   regular=regular.get(i)))
+                                   grid_n=grid_n, regular=regular.get(i)))
         except (ValueError, heun.DivergentSeriesError, np.linalg.LinAlgError) as exc:
             # keep sweeping, report the hole
             failures.append({"axis_value": float(v), "error": repr(exc)})
             levels.append([])
 
     kwargs = {"g_range": (lo, hi)} if axis == "g" else {"epsilon_range": (lo, hi)}
-    markers = scan_exceptional(p_template, N_max=N_max, tol=tol,
-                               grid=scan_grid, **kwargs)
+    markers = scan_exceptional(p_template, N_max=N_max, tol=tol, **kwargs)
 
     marker_groups = _group_markers(markers, axis, e_window)
 

@@ -311,7 +311,7 @@ def criterion_10() -> CriterionResult:
         E = candidate_energy(N, branch, p)
         hp = (component_params(FIRST, PLUS, E, p) if branch == PLUS
               else component_params(SECOND, MINUS, E, p))
-        if not heun.truncation_check(hp, N):
+        if not constraint_residual(N, branch, p) <= 1e-10:
             closure_ok = False
             continue
         s = heun.build_series(hp, n_max=N + 20)

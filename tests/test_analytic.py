@@ -1,4 +1,5 @@
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -8,11 +9,33 @@ from rabispec.analytic import (FIRST, MINUS, PLUS, SECOND, W_EXCL_DEFAULT,
                                ScalePoleError, build_pair, eval_component,
                                exceptional_candidates, find_regular_spectra,
                                find_regular_spectrum,
-                               refine_brackets, wronskian, wronskian_grid)
+                               refine_brackets, wronskian_grid)
 from rabispec.model import RabiParams
 from rabispec import oracle
 
 P_EXC = RabiParams(g=0.2, delta=0.8, epsilon=0.1)
+
+Sample = namedtuple("Sample", "w_plus w_minus reliable")
+
+
+def _scalar_wronskian(E, p):
+    """W_+ and W_- at z = 0 from each series built and summed on its own: the
+    reference for ``wronskian_grid``.  Unreliable when a scale denominator
+    vanishes or a series is neither converged nor truncated, built or summed."""
+    try:
+        first, second = build_pair(FIRST, E, p), build_pair(SECOND, E, p)
+        series = [first.plus_series, first.minus_series,
+                  second.plus_series, second.minus_series]
+        statuses = ([s.status for s in series]
+                    + [heun.eval_series(s, 0.5).status for s in series])
+    except (ScalePoleError, heun.DivergentSeriesError):
+        return Sample(math.nan, math.nan, False)
+    vp1, dp1 = eval_component(first, PLUS, 0.0)
+    vm1, dm1 = eval_component(first, MINUS, 0.0)
+    vp2, dp2 = eval_component(second, PLUS, 0.0)
+    vm2, dm2 = eval_component(second, MINUS, 0.0)
+    reliable = all(s in (heun.CONVERGED, heun.TRUNCATED) for s in statuses)
+    return Sample(vp2 * dp1 - vp1 * dp2, vm2 * dm1 - vm1 * dm2, reliable)
 
 # diagonalization anchors at delta=0.8, eps=0.1, window [-1.5, 1.5]
 ORACLE_LOW = {
@@ -71,8 +94,8 @@ def test_eval_component_derivative_fd():
 
 def test_wronskian_epsilon_reflection_at_z0():
     for E in (-0.6, 0.25, 1.3):
-        a = wronskian(E, P_EXC)
-        b = wronskian(E, RabiParams(g=0.2, delta=0.8, epsilon=-0.1))
+        a = _scalar_wronskian(E, P_EXC)
+        b = _scalar_wronskian(E, RabiParams(g=0.2, delta=0.8, epsilon=-0.1))
         assert a.w_plus == pytest.approx(b.w_minus, rel=1e-10)
 
 
@@ -80,21 +103,21 @@ def test_wronskian_plus_equals_minus_at_z0():
     # from the coupled system, W+ = Delta K/(z+g) and W- = -Delta K/(z-g)
     # share the cross-family combination K, so they coincide at z = 0
     for E in (-0.8, 0.3, 1.2):
-        s = wronskian(E, P_EXC)
+        s = _scalar_wronskian(E, P_EXC)
         assert s.w_plus == pytest.approx(s.w_minus, rel=1e-10)
 
 
 def test_wronskian_scale_pole_is_unreliable_sample():
-    s = wronskian(-P_EXC.g ** 2 - P_EXC.epsilon, P_EXC)
+    s = _scalar_wronskian(-P_EXC.g ** 2 - P_EXC.epsilon, P_EXC)
     assert not s.reliable
 
 
 def test_wronskian_small_at_oracle_eigenvalue():
     res = oracle.eigen(P_EXC, 2, tol=1e-11)
     E0 = float(res.eigenvalues[0])
-    w0 = wronskian(E0, P_EXC)
-    wa = wronskian(E0 - 0.05, P_EXC)
-    wb = wronskian(E0 + 0.05, P_EXC)
+    w0 = _scalar_wronskian(E0, P_EXC)
+    wa = _scalar_wronskian(E0 - 0.05, P_EXC)
+    wb = _scalar_wronskian(E0 + 0.05, P_EXC)
     scale = max(abs(wa.w_plus), abs(wb.w_plus))
     assert abs(w0.w_plus) <= 1e-8 * scale
 
@@ -103,7 +126,7 @@ def test_wronskian_grid_matches_scalar():
     E = np.linspace(-1.2, 1.2, 25)
     wp, wm, rel = wronskian_grid(E, P_EXC)
     for i, e in enumerate(E):
-        s = wronskian(float(e), P_EXC)
+        s = _scalar_wronskian(float(e), P_EXC)
         if s.reliable and rel[i]:
             assert wp[i] == pytest.approx(s.w_plus, rel=1e-11)
             assert wm[i] == pytest.approx(s.w_minus, rel=1e-11)
@@ -253,11 +276,11 @@ def test_regular_spectra_batch_equals_single_points():
 
 
 def _scalar_bisection(E_lo, E_hi, p, width=1e-12):
-    f_lo = wronskian(E_lo, p).w_plus
-    assert f_lo * wronskian(E_hi, p).w_plus < 0.0
+    f_lo = _scalar_wronskian(E_lo, p).w_plus
+    assert f_lo * _scalar_wronskian(E_hi, p).w_plus < 0.0
     while E_hi - E_lo > width:
         mid = 0.5 * (E_lo + E_hi)
-        f_mid = wronskian(mid, p).w_plus
+        f_mid = _scalar_wronskian(mid, p).w_plus
         if np.sign(f_mid) == np.sign(f_lo):
             E_lo, f_lo = mid, f_mid
         else:

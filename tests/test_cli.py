@@ -41,6 +41,15 @@ def test_wronskian_scan_empty_range(tmp_path):
     assert lines == ["E_over_omega,w_plus,w_minus,reliable"]
 
 
+def test_wronskian_scan_honours_tol(tmp_path):
+    # the truncation residual at E = 0.86 is about 2e-16, above 1e-30
+    code, text = run(tmp_path, "wronskian-scan", "--g", "0.2", "--delta", "0.8",
+                     "--epsilon", "0.1", "--grid", "301", "--tol", "1e-30")
+    assert code == 0
+    cands = [ln for ln in text.splitlines() if ln.startswith("# exceptional-candidate:")]
+    assert cands and not [ln for ln in cands if "is_exceptional=true" in ln]
+
+
 def test_scan_deterministic(tmp_path):
     _, a = run(tmp_path, "wronskian-scan", "--grid", "201")
     _, b = run(tmp_path, "wronskian-scan", "--grid", "201")
@@ -150,6 +159,13 @@ def test_oracle_command(tmp_path):
 def test_bad_arguments_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--range", "nonsense"])
+    assert exc.value.code == 2
+
+
+def test_seed_only_for_verify(capsys):
+    # only verify has randomized checks, so only verify takes --seed
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--seed", "3"])
     assert exc.value.code == 2
 
 

@@ -6,7 +6,7 @@ import pytest
 from rabispec import heun
 from rabispec.heun import (CONVERGED, DIVERGENT, MAX_TERMS, TRUNCATED,
                            DivergentSeriesError, build_series, eval_series,
-                           truncation_check, truncation_obstruction)
+                           truncation_obstruction)
 from rabispec.model import (HeunParams, RabiParams, heun_params_set1_minus,
                             heun_params_set1_plus, heun_params_set2)
 
@@ -31,8 +31,6 @@ def test_bad_arguments():
         build_series(hp, n_max=1)
     with pytest.raises(ValueError):
         build_series(hp, tol=0.0)
-    with pytest.raises(ValueError):
-        truncation_check(hp, -1)
 
 
 def test_statuses_at_exceptional_point():
@@ -175,15 +173,6 @@ def test_truncation_closure():
     for n in range(N + 2, N + 21):
         h.append((B(n) * h[n - 1] + C(n) * h[n - 2]) / A(n))
         assert abs(h[n]) <= 1e-10 * runmax
-
-
-def test_truncation_check_examples():
-    assert truncation_check(HeunParams(0.0, 0.0, 0.0, 0.0, 0.0), 0)
-    hp = heun_params_set2(heun_params_set1_plus(0.86, P_EXC))
-    assert truncation_check(hp, 0)
-    assert not truncation_check(hp, 1)
-    off = heun_params_set2(heun_params_set1_plus(0.90, P_EXC))
-    assert not truncation_check(off, 0)
 
 
 def test_ode_residual():

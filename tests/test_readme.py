@@ -1,0 +1,15 @@
+"""The README's Library example runs against the package as documented."""
+import os
+import re
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "README.md")
+
+
+def test_readme_library_block_runs(capsys):
+    text = open(README).read()
+    library = text[text.index("## Library"):]
+    block = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and lines[-1].startswith("0.58309518948")

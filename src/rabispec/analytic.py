@@ -14,12 +14,13 @@ vanish; the regular spectrum is found as sign-change zeros of W_+ in E at
 z = 0, with exclusion windows around the candidate energies N - g^2 +- eps
 where the series recurrence has poles (exceptional-point territory).
 
-``wronskian_grid`` sums the four series for a whole array of energies in one
-recurrence, with parameters from the ``model`` maps; g, delta and eps may be
-arrays, one entry per energy, since at z = 0 every parameter point puts its
-series at x = 1/2.  ``find_regular_spectra`` therefore searches many points
-(a sweep) as one batch: their sign grids share one ``wronskian_grid`` call,
-and ``refine_brackets`` refines the sign changes of all of them together by
+``wronskian_grid`` stacks the four series of a whole array of energies, with
+parameters from the ``model`` maps, and ``heun.sum_stack`` sums them in one
+recurrence; g, delta and eps may be arrays, one entry per energy, since at
+z = 0 every parameter point puts its series at x = 1/2.
+``find_regular_spectra`` therefore searches many points (a sweep) as one
+batch: their sign grids share one ``wronskian_grid`` call, and
+``refine_brackets`` refines the sign changes of all of them together by
 Chandrupatla's method, one ``wronskian_grid`` call per step.
 ``find_regular_spectrum`` is the one-point case.  ``build_pair`` and
 ``eval_component`` build one family's series on their own and evaluate them
@@ -41,7 +42,8 @@ SECOND = "second"
 PLUS = "plus"
 MINUS = "minus"
 
-W_EXCL_DEFAULT = 1e-3
+W_EXCL_DEFAULT = 1e-3    # half-width of the exclusion window around a candidate
+ROOT_TOL = 1e-9          # bracket width at which a Wronskian root is accepted
 
 
 class ScalePoleError(ValueError):
@@ -138,16 +140,16 @@ def exceptional_candidates(p: RabiParams, e_min: float, e_max: float):
 def wronskian_grid(E: np.ndarray, p: RabiParams):
     """Vectorized W_+(E, 0) and W_-(E, 0) over an array of energies.
 
-    The four series psi_+^1, psi_+^2, psi_-^1, psi_-^2 advance together in
-    one recurrence over a (4, ...) stack.  At z = 0 both coordinates
-    (g -+ z)/(2g) equal 1/2 and the prefactors exp(-+g z) equal 1, whatever
-    the parameters, so the fields g, delta and epsilon of ``p`` may be
-    arrays that broadcast against E and energies of different parameter
-    points share one stack.  Returns (w_plus, w_minus, reliable); an element
-    is unreliable when a recurrence pole was hit before its series converged,
-    the tail rule failed to fire within heun.N_MAX_DEFAULT terms, or a scale
-    denominator is (nearly) singular.  No element depends on the other
-    elements of the batch.
+    The parameters of the four series psi_+^1, psi_+^2, psi_-^1, psi_-^2
+    are stacked into (4, ...) rows, ``heun.sum_stack`` sums them all at
+    x = 1/2, and the rows are combined into W_+ and W_-.  At z = 0 both
+    coordinates (g -+ z)/(2g) equal 1/2 and the prefactors exp(-+g z) equal
+    1, whatever the parameters, so the fields g, delta and epsilon of ``p``
+    may be arrays that broadcast against E and energies of different
+    parameter points share one stack.  Returns (w_plus, w_minus, reliable);
+    an element is unreliable when one of its four sums is not (see
+    ``sum_stack``) or a scale denominator is (nearly) singular.  No element
+    depends on the other elements of the batch.
     """
     # count_nonzero: np.any costs a few microseconds more on a scalar p, and
     # a refinement step calls this kernel for a handful of energies
@@ -164,45 +166,13 @@ def wronskian_grid(E: np.ndarray, p: RabiParams):
     hp = HeunParams(*(np.stack([np.broadcast_to(getattr(r, f.name), E.shape)
                                 for r in rows])
                       for f in fields(HeunParams)))
-    A, B, C = heun.recurrence_abc(hp)
-    # the only index where A(n) can vanish, found as the loop would find it
-    n_pole = np.rint(-hp.beta)
-    n_pole[np.abs(n_pole + hp.beta) > heun.POLE_EPS] = -1.0
-    pole_steps = set(n_pole[n_pole >= 1.0].tolist())
-
-    shape = hp.beta.shape
-    h_prev = np.zeros(shape)
-    h_cur = np.ones(shape)
-    S = np.ones(shape)
-    Dx = np.zeros(shape)
-    small = np.zeros(shape, dtype=np.int32)
-    done = np.zeros(shape, dtype=bool)
-    hit_pole = np.zeros(shape, dtype=bool)
-    xp = 1.0                           # (1/2)**(n-1)
-    with np.errstate(all="ignore"):
-        for n in range(1, heun.N_MAX_DEFAULT + 1):
-            h_new = (B(n) * h_cur + C(n) * h_prev) / A(n)
-            if n in pole_steps:
-                pole = n_pole == n
-                hit_pole |= pole & ~done
-                h_new[pole] = 0.0
-            active = ~done
-            hx = h_new * xp
-            np.add(Dx, n * hx, out=Dx, where=active)
-            term = hx * 0.5
-            np.add(S, term, out=S, where=active)
-            small = np.where(np.abs(term) <= heun.TAIL_TOL * np.abs(S), small + 1, 0)
-            done |= small >= heun.TAIL_RUN
-            if done.all():
-                break
-            h_prev, h_cur = h_cur, h_new
-            xp = xp * 0.5
-    reliable = np.all(done & ~hit_pole & np.isfinite(S) & np.isfinite(Dx), axis=0)
+    S, Dx, ok = heun.sum_stack(hp)
+    reliable = np.all(ok, axis=0)
 
     den_p = E + g2 - eps              # scale of psi_+^2
     den_m = E + g2 + eps              # scale of psi_-^1
     reliable &= (np.abs(den_p) > 1e-12) & (np.abs(den_m) > 1e-12)
-    with np.errstate(all="ignore"):   # singular scales are flagged unreliable
+    with np.errstate(all="ignore"):   # singular scale denominators are unreliable
         sc_p = p.delta / den_p
         sc_m = p.delta / den_m
         vp1 = S[0]
@@ -272,9 +242,7 @@ def refine_brackets(f, x1, x2, f1, f2, tol, *per_bracket):
     return root, resid, found
 
 
-def find_regular_spectra(points, e_min: float, e_max: float,
-                         grid_n: int = 600, tol: float = 1e-9,
-                         w_excl: float = W_EXCL_DEFAULT):
+def find_regular_spectra(points, e_min: float, e_max: float, grid_n: int = 600):
     """Regular spectra of several parameter points: zeros of W_+(E, 0) in E.
 
     Each point has its own sign grid: grid_n energies plus samples hugging
@@ -284,10 +252,11 @@ def find_regular_spectra(points, e_min: float, e_max: float,
     per-element (g, delta, eps).  Grid samples inside a window are skipped;
     brackets never span a skipped or unreliable sample, a candidate energy
     or two points.  The brackets of all points are refined together by
-    ``refine_brackets`` to a width of tol, one ``wronskian_grid`` call per
-    step, and refined roots landing inside a window of their point are
-    dropped; a root's residual is |W_+| there.  Returns one ascending list
-    of SpectrumPoint per point.
+    ``refine_brackets`` to a width of ROOT_TOL, one ``wronskian_grid`` call
+    per step, and refined roots landing inside a window of their point are
+    dropped; a root's residual is |W_+| there.  The window half-width is
+    W_EXCL_DEFAULT, read at call time like ROOT_TOL.  Returns one ascending
+    list of SpectrumPoint per point.
     """
     from .spectrum import SpectrumPoint
 
@@ -319,7 +288,7 @@ def find_regular_spectra(points, e_min: float, e_max: float,
     # base grid plus samples hugging each exclusion-window edge: levels repelled
     # by a nearby pole often sit just outside the window, between grid points;
     # the grids of all points are stacked, each ascending, in point order
-    edges = excl[:, :, None] + w_excl * np.array([-1.02, 1.02, -2.5, 2.5])
+    edges = excl[:, :, None] + W_EXCL_DEFAULT * np.array([-1.02, 1.02, -2.5, 2.5])
     edges = edges.reshape(P, 4 * excl.shape[1])
     inside = (e_min <= edges) & (edges <= e_max)
     grid = np.concatenate([np.tile(np.linspace(e_min, e_max, grid_n), P), edges[inside]])
@@ -328,7 +297,7 @@ def find_regular_spectra(points, e_min: float, e_max: float,
     grid, owner = grid[order], owner[order]
     wp, rel = w_plus(grid, owner)
     dist = grid[:, None] - excl[owner]
-    ok = rel & np.all(np.abs(dist) > w_excl, axis=1)
+    ok = rel & np.all(np.abs(dist) > W_EXCL_DEFAULT, axis=1)
 
     # neighbours of one point form a bracket when both are usable and the
     # same number of its candidate energies lies below each (none between)
@@ -340,12 +309,12 @@ def find_regular_spectra(points, e_min: float, e_max: float,
     w_lo, w_hi = wp[:-1], wp[1:]
     brk = pair & (w_lo != 0.0) & (w_hi != 0.0) & (np.sign(w_lo) != np.sign(w_hi))
     root, resid, found = refine_brackets(w_plus, lo[brk], hi[brk], w_lo[brk], w_hi[brk],
-                                         tol, k[brk])
+                                         ROOT_TOL, k[brk])
 
     e = np.concatenate([grid[at_zero], root[found]])
     r = np.concatenate([np.zeros(at_zero.sum()), resid[found]])
     k = np.concatenate([owner[at_zero], k[brk][found]])
-    keep = np.all(np.abs(e[:, None] - excl[k]) > w_excl, axis=1)
+    keep = np.all(np.abs(e[:, None] - excl[k]) > W_EXCL_DEFAULT, axis=1)
     e, r, k = e[keep], r[keep], k[keep]
     order = np.lexsort((r, e, k))
     out = [[] for _ in points]
@@ -356,8 +325,6 @@ def find_regular_spectra(points, e_min: float, e_max: float,
 
 
 def find_regular_spectrum(p: RabiParams, e_min: float, e_max: float,
-                          grid_n: int = 600, tol: float = 1e-9,
-                          w_excl: float = W_EXCL_DEFAULT):
+                          grid_n: int = 600):
     """Regular spectrum of one point: ``find_regular_spectra`` on ``[p]``."""
-    return find_regular_spectra([p], e_min, e_max, grid_n=grid_n, tol=tol,
-                                w_excl=w_excl)[0]
+    return find_regular_spectra([p], e_min, e_max, grid_n=grid_n)[0]

@@ -118,8 +118,7 @@ def cmd_wronskian_scan(args) -> int:
     wp, wm, rel = wronskian_grid(grid, p)
     rows = [[grid[i], wp[i], wm[i], bool(rel[i])] for i in range(len(grid))]
     zeros = [q.energy for q in find_regular_spectrum(p, e_min, e_max,
-                                                     grid_n=max(args.grid, 100),
-                                                     tol=args.tol)]
+                                                     grid_n=max(args.grid, 100))]
     cands = []
     for (N, branch, E) in exceptional_candidates(p, e_min, e_max):
         is_exc = N >= 1 and constraint_residual(N, branch, p, tol=args.tol) <= args.tol

@@ -22,6 +22,9 @@ from . import heun
 from .analytic import FIRST, MINUS, PLUS, SECOND, component_params, refine_brackets
 from . import oracle as oracle_mod
 
+CROSSING_G_RANGE = (1e-3, 2.0)   # g interval that find_crossings scans
+CROSSING_GRID = 400             # scan points in it
+
 
 @dataclass(frozen=True)
 class ExceptionalPoint:
@@ -199,23 +202,25 @@ def pair_separation(pt_plus: ExceptionalPoint, pt_minus: ExceptionalPoint) -> fl
     return pt_plus.energy - pt_minus.energy
 
 
-def find_crossings(delta: float, N1: int, N2: int, tol: float = heun.TRUNC_TOL,
-                   g_lo: float = 1e-3, g_hi: float = 2.0,
-                   grid: int = 400) -> Optional[CrossingPoint]:
+def find_crossings(delta: float, N1: int, N2: int,
+                   tol: float = heun.TRUNC_TOL) -> Optional[CrossingPoint]:
     """Two-fold degeneracy where the (N1, plus) and (N2, minus) exceptional
     points coincide; possible only at eps = (N2 - N1)/2.
 
     Finds the roots in g of the plus-branch constraint at that eps with the
     same array scan and ``refine_brackets`` refinement as ``scan_exceptional``
     and accepts the lowest root where the minus-branch residual also vanishes.
-    Returns None when no such g exists in range; a degenerate locus pinned at
-    g = 0 is reported with boundary=True.
+    The scan covers CROSSING_GRID points of CROSSING_G_RANGE.  Returns None
+    when no such g exists in range; a degenerate locus pinned at g = 0 is
+    reported with boundary=True.
     """
     if not (N2 > N1 >= 1):
         raise ValueError(f"need N2 > N1 >= 1, got ({N1}, {N2})")
+    g_lo, g_hi = CROSSING_G_RANGE
     eps_star = 0.5 * (N2 - N1)
     make = lambda g: RabiParams(g=g, delta=delta, epsilon=eps_star)
-    for root in _locus_roots(N1, PLUS, make, np.linspace(g_lo, g_hi, grid)).tolist():
+    for root in _locus_roots(N1, PLUS, make,
+                             np.linspace(g_lo, g_hi, CROSSING_GRID)).tolist():
         pr = make(root)
         if not (constraint_residual(N1, PLUS, pr, tol=tol) <= tol):
             continue

@@ -21,11 +21,15 @@ Three things can happen while building the series:
   with 2*epsilon at integer values;
 * neither: the series converges inside the unit disk and is summed until the
   tail rule fires ("converged") or the term budget runs out ("max_terms").
+
+``eval_series`` sums one built series at any x, and ``build_series`` takes
+its status from that sum at x = 1/2; ``sum_stack`` sums a whole array of
+series at x = 1/2 with the same recurrence and the same tail rule.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -43,32 +47,22 @@ TAIL_TOL = 1e-13        # relative term size in the convergence rule
 TAIL_RUN = 5            # consecutive small terms required
 POLE_EPS = 1e-9         # |n + beta| below this counts as a recurrence pole
 POLE_RESOLVE_TOL = 1e-8  # relative numerator tolerance at a pole
-RESCALE_LIMIT = 1e150
 
 
 class DivergentSeriesError(RuntimeError):
     """Raised when evaluating a series whose h_0-normalized solution diverges."""
 
 
-def _ldexp_safe(m: float, e: int) -> float:
-    # math.ldexp raises on overflow; saturate instead so status logic can react
-    try:
-        return math.ldexp(m, e)
-    except OverflowError:
-        return math.copysign(math.inf, m)
-
-
 @dataclass(frozen=True)
 class HeunSeries:
     """Built coefficient sequence plus its construction status.
 
-    ``coeffs[n]`` scaled by ``2**scales[n]`` is the true coefficient h_n.
-    For a truncated series every stored h_n with n > trunc_index is exactly 0.
+    ``coeffs[n]`` is the coefficient h_n.  For a truncated series every
+    stored h_n with n > trunc_index is exactly 0.
     """
 
     params: HeunParams
     coeffs: np.ndarray
-    scales: np.ndarray
     status: str
     trunc_index: Optional[int] = None
     pole_index: Optional[int] = None
@@ -80,14 +74,13 @@ class HeunSeries:
             if self.status == TRUNCATED:
                 return 0.0
             raise IndexError(f"coefficient {n} not stored (have {len(self.coeffs)})")
-        return _ldexp_safe(self.coeffs[n], int(self.scales[n]))
+        return float(self.coeffs[n])
 
 
 @dataclass(frozen=True)
 class HeunEval:
     value: float
     derivative: float
-    terms_used: int
     status: str
 
 
@@ -173,10 +166,11 @@ def build_series(hp: HeunParams, n_max: int = N_MAX_DEFAULT,
                  tol: float = TRUNC_TOL) -> HeunSeries:
     """Build the coefficient sequence and classify it.
 
-    The convergence status is that of the sum at x = 1/2, where both
-    solution families sit at z = 0; coefficients are stored up to n_max
-    regardless so the series can be re-summed at other points inside the
-    unit disk.
+    A series that neither truncates nor hits a pole gets the status of its
+    sum at x = 1/2 (``eval_series``), where both solution families sit at
+    z = 0; coefficients are stored up to n_max regardless so the series can
+    be re-summed at other points inside the unit disk.  Coefficients that
+    overflow end the build with status "max_terms".
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
@@ -186,79 +180,37 @@ def build_series(hp: HeunParams, n_max: int = N_MAX_DEFAULT,
     be = hp.beta
 
     h = [1.0]
-    scales = [0]
-    scale_now = 0
     runmax = 1.0
-    prev2, prev1 = 0.0, 1.0           # h_{n-2}, h_{n-1} in the current scale
-    # convergence-tail state at x = 1/2
-    partial = 1.0
-    small_run = 0
-    tail_fired = False
-
-    n = 1
-    while n <= n_max:
+    prev2, prev1 = 0.0, 1.0           # h_{n-2}, h_{n-1}
+    for n in range(1, n_max + 1):
         Bn = B(n)
         Cn = C(n)
         rhs = Bn * prev1 + Cn * prev2
         if abs(n + be) <= POLE_EPS:
             scale_ref = (1.0 + abs(Bn) + abs(Cn)) * runmax
-            if abs(rhs) > POLE_RESOLVE_TOL * scale_ref or scale_now != 0:
-                # a vanishing numerator can be resolved only while the stored
-                # coefficients share one scale (always the case at desk scale)
-                return HeunSeries(hp, np.asarray(h), np.asarray(scales, dtype=np.int64),
-                                  DIVERGENT, pole_index=n)
-            resolved = _resolve_pole(hp, h, runmax, n, tol)
+            resolved = (None if abs(rhs) > POLE_RESOLVE_TOL * scale_ref
+                        else _resolve_pole(hp, h, runmax, n, tol))
             if resolved is None:
-                return HeunSeries(hp, np.asarray(h), np.asarray(scales, dtype=np.int64),
-                                  DIVERGENT, pole_index=n)
+                return HeunSeries(hp, np.asarray(h), DIVERGENT, pole_index=n)
             hh, n_tr = resolved
-            sc = scales[:len(hh)] + [scale_now] * (len(hh) - len(scales))
-            return HeunSeries(hp, np.asarray(hh), np.asarray(sc, dtype=np.int64),
-                              TRUNCATED, trunc_index=n_tr, pole_index=n)
+            return HeunSeries(hp, np.asarray(hh), TRUNCATED, trunc_index=n_tr,
+                              pole_index=n)
         hn = rhs / A(n)
         if not math.isfinite(hn):
-            # parameters too extreme even for the rescaling guard
-            return HeunSeries(hp, np.asarray(h), np.asarray(scales, dtype=np.int64),
-                              MAX_TERMS)
+            return HeunSeries(hp, np.asarray(h), MAX_TERMS)
         h.append(hn)
-        scales.append(scale_now)
         runmax = max(runmax, abs(hn))
 
         # truncation: two consecutive negligible coefficients close the series,
         # provided the closing condition holds at this index
         if (n >= 2 and abs(hn) <= tol * runmax and abs(prev1) <= tol * runmax
                 and _closes_at(hp, n - 2)):
-            n_tr = n - 2
-            hh = h[:n_tr + 1] + [0.0, 0.0]
-            sc = scales[:n_tr + 1] + [scale_now, scale_now]
-            return HeunSeries(hp, np.asarray(hh), np.asarray(sc, dtype=np.int64),
-                              TRUNCATED, trunc_index=n_tr)
+            return HeunSeries(hp, np.asarray(h[:n - 1] + [0.0, 0.0]), TRUNCATED,
+                              trunc_index=n - 2)
+        prev2, prev1 = prev1, hn
 
-        # convergence tail at x = 1/2: the term h_n 2**-n
-        if not tail_fired:
-            term = _ldexp_safe(hn, scale_now - n)
-            partial += term
-            if (math.isfinite(partial) and math.isfinite(term)
-                    and abs(term) <= TAIL_TOL * abs(partial)):
-                small_run += 1
-                if small_run >= TAIL_RUN:
-                    tail_fired = True
-            else:
-                small_run = 0
-
-        if abs(hn) > RESCALE_LIMIT:
-            # shift the rolling pair so the next product cannot overflow even
-            # for very large recurrence coefficients
-            shift = math.frexp(hn)[1]
-            prev2, prev1 = math.ldexp(prev1, -shift), math.ldexp(hn, -shift)
-            runmax = math.ldexp(runmax, -shift)
-            scale_now += shift
-        else:
-            prev2, prev1 = prev1, hn
-        n += 1
-
-    status = CONVERGED if tail_fired else MAX_TERMS
-    return HeunSeries(hp, np.asarray(h), np.asarray(scales, dtype=np.int64), status)
+    series = HeunSeries(hp, np.asarray(h), MAX_TERMS)
+    return replace(series, status=eval_series(series, 0.5).status)
 
 
 def eval_series(series: HeunSeries, x: float) -> HeunEval:
@@ -267,6 +219,7 @@ def eval_series(series: HeunSeries, x: float) -> HeunEval:
     Truncated polynomials are summed exactly at any x.  Otherwise x must lie
     inside the unit disk; the sum stops once the tail rule fires, and the
     result is flagged "max_terms" when the stored coefficients run out first.
+    This scalar sum is the reference that ``sum_stack`` is checked against.
     """
     if series.status == DIVERGENT:
         raise DivergentSeriesError(
@@ -276,40 +229,80 @@ def eval_series(series: HeunSeries, x: float) -> HeunEval:
         raise ValueError(f"|x| must be < 1 for a non-truncated series, got {x}")
 
     if truncated:
-        n_top = series.trunc_index
         value = 0.0
         deriv = 0.0
-        for n in range(n_top, -1, -1):  # Horner
+        for n in range(series.trunc_index, -1, -1):  # Horner
             hn = series.coefficient(n)
             value = value * x + hn
             if n >= 1:
                 deriv = deriv * x + n * hn
-        return HeunEval(value, deriv, n_top + 1, TRUNCATED)
+        return HeunEval(value, deriv, TRUNCATED)
 
-    coeffs = series.coeffs
-    scales = series.scales
+    coeffs = series.coeffs.tolist()
     value = 1.0
     deriv = 0.0
-    xp_mant, xp_exp = math.frexp(1.0)   # x**(n-1)
+    xp = 1.0                          # x**(n-1)
     small_run = 0
     for n in range(1, len(coeffs)):
-        hn_scaled = _ldexp_safe(coeffs[n] * xp_mant, int(scales[n]) + xp_exp)
-        deriv += n * hn_scaled
-        term = hn_scaled * x
+        hx = coeffs[n] * xp
+        deriv += n * hx
+        term = hx * x
         value += term
         if not math.isfinite(value):
-            return HeunEval(value, deriv, n + 1, MAX_TERMS)
+            return HeunEval(value, deriv, MAX_TERMS)
         if abs(term) <= TAIL_TOL * abs(value):
             small_run += 1
             if small_run >= TAIL_RUN:
-                return HeunEval(value, deriv, n + 1, CONVERGED)
+                return HeunEval(value, deriv, CONVERGED)
         else:
             small_run = 0
-        xp_mant *= x
-        if xp_mant != 0.0:
-            mm, ee = math.frexp(xp_mant)
-            xp_mant, xp_exp = mm, xp_exp + ee
-    return HeunEval(value, deriv, len(coeffs), MAX_TERMS)
+        xp *= x
+    return HeunEval(value, deriv, MAX_TERMS)
+
+
+def sum_stack(hp: HeunParams):
+    """Sum a stack of series and their x-derivatives at x = 1/2 at once.
+
+    The fields of ``hp`` are arrays of one shape, one series per element;
+    every element runs the recurrence and the tail rule of ``build_series``
+    and ``eval_series`` up to N_MAX_DEFAULT terms, as if it were alone.
+    Returns (S, Dx, ok) of that shape: the sum, its d/dx, and whether the
+    tail rule fired with no recurrence pole before it and both sums finite.
+    """
+    A, B, C = recurrence_abc(hp)
+    # the only index where A(n) can vanish, found as build_series would find it
+    n_pole = np.rint(-hp.beta)
+    n_pole[np.abs(n_pole + hp.beta) > POLE_EPS] = -1.0
+    pole_steps = set(n_pole[n_pole >= 1.0].tolist())
+
+    shape = hp.beta.shape
+    h_prev = np.zeros(shape)
+    h_cur = np.ones(shape)
+    S = np.ones(shape)
+    Dx = np.zeros(shape)
+    small = np.zeros(shape, dtype=np.int32)
+    done = np.zeros(shape, dtype=bool)
+    hit_pole = np.zeros(shape, dtype=bool)
+    xp = 1.0                           # (1/2)**(n-1)
+    with np.errstate(all="ignore"):
+        for n in range(1, N_MAX_DEFAULT + 1):
+            h_new = (B(n) * h_cur + C(n) * h_prev) / A(n)
+            if n in pole_steps:
+                pole = n_pole == n
+                hit_pole |= pole & ~done
+                h_new[pole] = 0.0
+            active = ~done
+            hx = h_new * xp
+            np.add(Dx, n * hx, out=Dx, where=active)
+            term = hx * 0.5
+            np.add(S, term, out=S, where=active)
+            small = np.where(np.abs(term) <= TAIL_TOL * np.abs(S), small + 1, 0)
+            done |= small >= TAIL_RUN
+            if done.all():
+                break
+            h_prev, h_cur = h_cur, h_new
+            xp = xp * 0.5
+    return S, Dx, done & ~hit_pole & np.isfinite(S) & np.isfinite(Dx)
 
 
 def truncation_obstruction(hp: HeunParams, N: int) -> float:

@@ -83,12 +83,12 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
 
 
 def eigen(p: RabiParams, k: int, tol: float = 1e-9,
-          want_vectors: bool = False, n_c_cap: int = N_C_CAP) -> OracleResult:
+          want_vectors: bool = False) -> OracleResult:
     """First k eigenvalues with cutoff-doubling convergence control.
 
-    Starts at n_c = min(max(16, k), n_c_cap) and doubles until the k lowest
+    Starts at n_c = min(max(16, k), N_C_CAP) and doubles until the k lowest
     eigenvalues move by less than tol, which proves them converged since
-    truncated eigenvalues fall monotonically with n_c, or the cap is hit;
+    truncated eigenvalues fall monotonically with n_c, or N_C_CAP is hit;
     converged_count counts the leading stable ones (0 without a 2nd solve).
     """
     if k < 1:
@@ -96,10 +96,10 @@ def eigen(p: RabiParams, k: int, tol: float = 1e-9,
     if not (tol > 0):
         raise ValueError(f"tol must be positive, got {tol}")
     p = p.reduced()
-    n_c = min(max(16, k), n_c_cap)
+    n_c = min(max(16, k), N_C_CAP)
     vals = np.linalg.eigvalsh(build_hamiltonian(p, n_c))
     converged = 0
-    while 2 * n_c <= n_c_cap:
+    while 2 * n_c <= N_C_CAP:
         vals_next = np.linalg.eigvalsh(build_hamiltonian(p, 2 * n_c))
         stable = 0
         for i in range(k):

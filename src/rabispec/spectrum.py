@@ -26,6 +26,8 @@ from . import oracle as oracle_mod
 
 GAP_TOL = 1e-4
 DEDUP_TOL = oracle_mod.DEGENERACY_TOL    # one consistent scale
+GROUP_AXIS_TOL = 1e-6     # coincident markers: axis value ...
+GROUP_ENERGY_TOL = 1e-7   # ... and energy
 
 
 @dataclass(frozen=True)
@@ -230,9 +232,9 @@ def sweep(p_template: RabiParams, axis: str, axis_range: Tuple[float, float],
 
 
 def _group_markers(markers: List[ExceptionalPoint], axis: str,
-                   e_window: Tuple[float, float], axis_tol: float = 1e-6,
-                   energy_tol: float = 1e-7) -> List[dict]:
-    """Coincident markers (same axis value and energy) form degenerate groups.
+                   e_window: Tuple[float, float]) -> List[dict]:
+    """Coincident markers (same axis value within GROUP_AXIS_TOL, energy
+    within GROUP_ENERGY_TOL) form degenerate groups.
 
     A group's oracle_degeneracy counts the converged oracle eigenvalues
     within 1e-6 of its energy.
@@ -252,8 +254,8 @@ def _group_markers(markers: List[ExceptionalPoint], axis: str,
             if used[j]:
                 continue
             other = in_window[j]
-            if (abs(axis_of(other) - axis_of(m)) <= axis_tol
-                    and abs(other.energy - m.energy) <= energy_tol):
+            if (abs(axis_of(other) - axis_of(m)) <= GROUP_AXIS_TOL
+                    and abs(other.energy - m.energy) <= GROUP_ENERGY_TOL):
                 group.append(other)
                 used[j] = True
         orc = oracle_mod.eigen_in_window(m.params, m.energy - 0.25, m.energy + 0.25)

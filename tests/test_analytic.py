@@ -123,13 +123,26 @@ def test_wronskian_small_at_oracle_eigenvalue():
 
 
 def test_wronskian_grid_matches_scalar():
+    # the stacked sum and the scalar reference do the same float arithmetic
     E = np.linspace(-1.2, 1.2, 25)
-    wp, wm, rel = wronskian_grid(E, P_EXC)
-    for i, e in enumerate(E):
-        s = _scalar_wronskian(float(e), P_EXC)
-        if s.reliable and rel[i]:
-            assert wp[i] == pytest.approx(s.w_plus, rel=1e-11)
-            assert wm[i] == pytest.approx(s.w_minus, rel=1e-11)
+    points = [P_EXC] * E.size
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        g = rng.uniform(0.05, 2.5)
+        points.append(RabiParams(g=g, delta=rng.uniform(0.1, 1.5),
+                                 epsilon=rng.uniform(-0.5, 0.5)))
+        E = np.append(E, rng.uniform(-g * g - 1.0, 3.0))
+    stack = RabiParams(**{f: np.array([getattr(p, f) for p in points])
+                          for f in ("g", "delta", "epsilon")})
+    wp, wm, rel = wronskian_grid(E, stack)
+    compared = 0
+    for i, (e, p) in enumerate(zip(E.tolist(), points)):
+        s = _scalar_wronskian(e, p)
+        assert rel[i] == s.reliable
+        if s.reliable:
+            assert (wp[i], wm[i]) == (s.w_plus, s.w_minus)
+            compared += 1
+    assert compared >= 200
 
 
 def test_exceptional_candidates_listing():

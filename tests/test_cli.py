@@ -50,6 +50,19 @@ def test_wronskian_scan_honours_tol(tmp_path):
     assert cands and not [ln for ln in cands if "is_exceptional=true" in ln]
 
 
+def test_wronskian_scan_tol_leaves_zeros(tmp_path):
+    # --tol is the acceptance tolerance of the candidates, not the root width
+    from rabispec.analytic import find_regular_spectrum
+    from rabispec.model import RabiParams
+    code, text = run(tmp_path, "wronskian-scan", "--g", "0.2", "--delta", "0.8",
+                     "--epsilon", "0.1", "--grid", "301", "--tol", "1e-4",
+                     "--format", "json")
+    assert code == 0
+    roots = find_regular_spectrum(RabiParams(g=0.2, delta=0.8, epsilon=0.1),
+                                  -1.5, 1.5, grid_n=301)
+    assert json.loads(text)["zeros"] == [q.energy for q in roots]
+
+
 def test_scan_deterministic(tmp_path):
     _, a = run(tmp_path, "wronskian-scan", "--grid", "201")
     _, b = run(tmp_path, "wronskian-scan", "--grid", "201")

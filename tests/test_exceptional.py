@@ -188,9 +188,7 @@ def test_scan_points_oracle_verified():
 
 
 def test_scan_oracle_check_needs_converged_eigenvalues(monkeypatch):
-    real = oracle.eigen
-    monkeypatch.setattr(oracle, "eigen",
-                        lambda p, k, tol=1e-9: real(p, k, tol=tol, n_c_cap=12))
+    monkeypatch.setattr(oracle, "N_C_CAP", 12)
     assert scan_exceptional(P_EXC, g_range=(0.15, 0.25), N_max=1) == []
     assert scan_exceptional(P_EXC, g_range=(0.15, 0.25), N_max=1, oracle_check=False)
 
@@ -203,13 +201,14 @@ def test_divergent_partner_family():
     assert s.status == heun.DIVERGENT
 
 
-def test_no_wronskian_root_even_without_windows():
+def test_no_wronskian_root_even_without_windows(monkeypatch):
     # the Wronskian has a removable singularity at an accepted exceptional
     # energy: suppressing the exclusion windows still yields no nearby root
-    from rabispec.analytic import find_regular_spectrum
+    from rabispec import analytic
     pts = scan_exceptional(P_EXC, g_range=(0.15, 0.45), N_max=1, grid=200)
     assert pts
+    monkeypatch.setattr(analytic, "W_EXCL_DEFAULT", 0.0)
     for pt in pts:
-        roots = find_regular_spectrum(pt.params, pt.energy - 0.05,
-                                      pt.energy + 0.05, grid_n=120, w_excl=0.0)
+        roots = analytic.find_regular_spectrum(pt.params, pt.energy - 0.05,
+                                               pt.energy + 0.05, grid_n=120)
         assert all(abs(q.energy - pt.energy) > 1e-3 for q in roots)

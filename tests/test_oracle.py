@@ -135,9 +135,10 @@ def test_validation():
         eigen(p, 2, tol=-1.0)
 
 
-def test_eigen_first_solve_respects_cap():
+def test_eigen_first_solve_respects_cap(monkeypatch):
     # the first cutoff would be 16; one solve at the cap proves nothing converged
-    res = eigen(RabiParams(g=0.8, delta=0.8, epsilon=0.5), 10, n_c_cap=12)
+    monkeypatch.setattr(oracle, "N_C_CAP", 12)
+    res = eigen(RabiParams(g=0.8, delta=0.8, epsilon=0.5), 10)
     assert res.cutoff_used == 12
     assert res.converged_count == 0
 
@@ -146,9 +147,7 @@ def test_eigen_in_window_counts_only_converged(monkeypatch):
     p = RabiParams(g=0.8, delta=0.8, epsilon=0.5)
     full = eigen_in_window(p, -1.0, 1.0)
     assert full.converged_count == len(full.eigenvalues) == 3
-    real = oracle.eigen
-    monkeypatch.setattr(oracle, "eigen",
-                        lambda p, k, tol=1e-9: real(p, k, tol=tol, n_c_cap=12))
+    monkeypatch.setattr(oracle, "N_C_CAP", 12)
     capped = eigen_in_window(p, -1.0, 1.0)
     assert capped.cutoff_used == 12
     assert len(capped.eigenvalues) == 3

@@ -7,7 +7,8 @@ README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))
 
 
 def test_readme_library_block_runs(capsys):
-    text = open(README).read()
+    with open(README) as f:
+        text = f.read()
     library = text[text.index("## Library"):]
     block = re.search(r"```python\n(.*?)```", library, re.S).group(1)
     exec(compile(block, "README.md", "exec"), {})

@@ -143,9 +143,7 @@ def test_sweep_records_only_named_failures(monkeypatch):
 def _cap_oracle(monkeypatch):
     # one solve at a cutoff below the first one: nothing converges
     from rabispec import oracle
-    real = oracle.eigen
-    monkeypatch.setattr(oracle, "eigen",
-                        lambda p, k, tol=1e-9: real(p, k, tol=tol, n_c_cap=12))
+    monkeypatch.setattr(oracle, "N_C_CAP", 12)
 
 
 def test_assemble_rejects_unconverged_oracle(monkeypatch):

@@ -264,8 +264,6 @@ def find_regular_spectra(points, e_min: float, e_max: float, grid_n: int = 600):
         raise ValueError(f"need e_min < e_max, got [{e_min}, {e_max}]")
     if grid_n < 100:
         raise ValueError(f"grid_n must be >= 100, got {grid_n}")
-    if not all(p.is_reduced for p in points):
-        raise ValueError("expected reduced parameters (omega = 1); call reduced() first")
     P = len(points)
     cands = [[E for (_, _, E) in exceptional_candidates(p, e_min - 1.0, e_max + 1.0)]
              for p in points]

@@ -1,10 +1,11 @@
 """Command-line interface: scans, sweeps, spectra and the verification suite.
 
-Inputs are taken in physical units (--omega sets the scale, default 1) and
-converted to reduced units exactly once at config parse; all emitted energies
-are E/omega.  Output is CSV with a '#'-prefixed metadata header, or JSON with
-the same schema; both are deterministic for a fixed config (and, for
-``verify``, seed).
+The library takes reduced parameters (omega = 1) only.  The CLI alone takes
+physical inputs: --omega (finite and above 0, default 1) sets the scale, and
+g, delta, epsilon and the energy window are divided by it once, where the
+arguments are read; all emitted energies are E/omega.  Output is CSV with a
+'#'-prefixed metadata header, or JSON with the same schema; both are
+deterministic for a fixed config (and, for ``verify``, seed).
 
 Exit codes: 0 success, 1 verification failure, 2 bad arguments, 3 I/O error.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -76,6 +78,15 @@ def _render_json(meta: dict, header: List[str], rows: List[list],
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _emit(args, meta: dict, header: List[str], rows: List[list],
+          footer: Optional[List[str]] = None, extra: Optional[dict] = None) -> None:
+    """Render in args.format (CSV takes the footer, JSON the extra keys) and
+    write to args.out."""
+    text = (_render_csv(meta, header, rows, footer) if args.format == "csv"
+            else _render_json(meta, header, rows, extra))
+    _write_output(args.out, text)
+
+
 def _base_meta(args, command: str) -> dict:
     return {
         "command": command,
@@ -88,8 +99,18 @@ def _base_meta(args, command: str) -> dict:
 
 
 def _params(args) -> RabiParams:
-    return RabiParams(g=args.g, delta=args.delta, epsilon=args.epsilon,
-                      omega=args.omega).reduced()
+    w = args.omega
+    return RabiParams(g=args.g / w, delta=args.delta / w, epsilon=args.epsilon / w)
+
+
+def _omega(spec: str) -> float:
+    try:
+        w = float(spec)
+    except ValueError:
+        w = math.nan
+    if not (math.isfinite(w) and w > 0):
+        raise argparse.ArgumentTypeError(f"omega must be finite and > 0, got {spec!r}")
+    return w
 
 
 def _parse_range(spec: str):
@@ -110,9 +131,7 @@ def cmd_wronskian_scan(args) -> int:
                  "tol": args.tol})
     header = ["E_over_omega", "w_plus", "w_minus", "reliable"]
     if e_min >= e_max:
-        text = (_render_csv(meta, header, []) if args.format == "csv"
-                else _render_json(meta, header, []))
-        _write_output(args.out, text)
+        _emit(args, meta, header, [])
         return EXIT_OK
     grid = np.linspace(e_min, e_max, args.grid)
     wp, wm, rel = wronskian_grid(grid, p)
@@ -123,26 +142,21 @@ def cmd_wronskian_scan(args) -> int:
     for (N, branch, E) in exceptional_candidates(p, e_min, e_max):
         is_exc = N >= 1 and constraint_residual(N, branch, p, tol=args.tol) <= args.tol
         cands.append((N, branch, E, is_exc))
-    if args.format == "csv":
-        footer = [f"# zero: E_over_omega={_fmt(z)}" for z in zeros]
-        footer += [f"# exceptional-candidate: N={n} branch={b} E_over_omega={_fmt(e)} "
-                   f"is_exceptional={_fmt(x)}" for (n, b, e, x) in cands]
-        text = _render_csv(meta, header, rows, footer)
-    else:
-        text = _render_json(meta, header, rows, extra={
-            "zeros": zeros,
-            "exceptional_candidates": [
-                {"N": n, "branch": b, "E_over_omega": e, "is_exceptional": bool(x)}
-                for (n, b, e, x) in cands]})
-    _write_output(args.out, text)
+    footer = [f"# zero: E_over_omega={_fmt(z)}" for z in zeros]
+    footer += [f"# exceptional-candidate: N={n} branch={b} E_over_omega={_fmt(e)} "
+               f"is_exceptional={_fmt(x)}" for (n, b, e, x) in cands]
+    _emit(args, meta, header, rows, footer, extra={
+        "zeros": zeros,
+        "exceptional_candidates": [
+            {"N": n, "branch": b, "E_over_omega": e, "is_exceptional": bool(x)}
+            for (n, b, e, x) in cands]})
     return EXIT_OK
 
 
 def cmd_spectrum(args) -> int:
     p = _params(args)
     window = (args.e_min / args.omega, args.e_max / args.omega)
-    pts = assemble(p, window, N_max=args.n_max, grid_n=max(args.grid, 100),
-                   tol=args.tol)
+    pts = assemble(p, window, N_max=args.n_max, grid_n=args.grid, tol=args.tol)
     meta = _base_meta(args, "spectrum")
     meta.update({"e_min": args.e_min, "e_max": args.e_max, "N_max": args.n_max,
                  "grid": args.grid, "tol": args.tol})
@@ -150,9 +164,7 @@ def cmd_spectrum(args) -> int:
               "degeneracy", "provenance"]
     rows = [[q.energy, q.kind, q.N, q.branch, q.residual, q.oracle_delta,
              q.degeneracy, q.provenance] for q in pts]
-    text = (_render_csv(meta, header, rows) if args.format == "csv"
-            else _render_json(meta, header, rows))
-    _write_output(args.out, text)
+    _emit(args, meta, header, rows)
     return EXIT_OK
 
 
@@ -161,7 +173,7 @@ def cmd_sweep(args) -> int:
     lo, hi, steps = args.range
     window = (args.e_min / args.omega, args.e_max / args.omega)
     result = sweep(p, args.axis, (lo, hi), steps, window, N_max=args.n_max,
-                   tol=args.tol, grid_n=max(args.grid, 100))
+                   tol=args.tol, grid_n=args.grid)
     meta = _base_meta(args, "sweep")
     meta.update({"axis": args.axis, "range": f"{lo}:{hi}:{steps}",
                  "e_min": args.e_min, "e_max": args.e_max, "N_max": args.n_max,
@@ -185,20 +197,16 @@ def cmd_sweep(args) -> int:
         for (N, branch) in grp["members"]:
             marker_rows.append([grp["axis_value"], N, branch, grp["energy"],
                                 grp["degeneracy"], grp["oracle_degeneracy"]])
+    _emit(args, meta, header, rows, extra={
+        "marker_columns": marker_header,
+        "markers": [[float(r[0]), r[1], r[2], float(r[3]), r[4], r[5]]
+                    for r in marker_rows]})
     if args.format == "csv":
-        text = _render_csv(meta, header, rows)
-        _write_output(args.out, text)
         marker_text = _render_csv(meta, marker_header, marker_rows)
         if args.out not in (None, "-"):
             _write_output(args.out + ".markers.csv", marker_text)
         else:
             sys.stdout.write(marker_text)
-    else:
-        text = _render_json(meta, header, rows, extra={
-            "marker_columns": marker_header,
-            "markers": [[float(r[0]), r[1], r[2], float(r[3]), r[4], r[5]]
-                        for r in marker_rows]})
-        _write_output(args.out, text)
     return EXIT_OK
 
 
@@ -214,9 +222,7 @@ def cmd_exceptional(args) -> int:
     header = ["axis_value", "N", "branch", "E_over_omega", "residual"]
     rows = [[pt.params.g if args.axis == "g" else pt.params.epsilon,
              pt.N, pt.branch, pt.energy, pt.constraint_residual] for pt in pts]
-    text = (_render_csv(meta, header, rows) if args.format == "csv"
-            else _render_json(meta, header, rows))
-    _write_output(args.out, text)
+    _emit(args, meta, header, rows)
     return EXIT_OK
 
 
@@ -233,9 +239,7 @@ def cmd_crossings(args) -> int:
     else:
         rows = [[cr.N1, cr.N2, cr.epsilon_star, cr.g_star, cr.delta_relation,
                  cr.energy, cr.boundary, True]]
-    text = (_render_csv(meta, header, rows) if args.format == "csv"
-            else _render_json(meta, header, rows))
-    _write_output(args.out, text)
+    _emit(args, meta, header, rows)
     return EXIT_OK
 
 
@@ -247,9 +251,7 @@ def cmd_oracle(args) -> int:
                  "converged_count": res.converged_count})
     header = ["index", "E_over_omega"]
     rows = [[i, float(e)] for i, e in enumerate(res.eigenvalues)]
-    text = (_render_csv(meta, header, rows) if args.format == "csv"
-            else _render_json(meta, header, rows))
-    _write_output(args.out, text)
+    _emit(args, meta, header, rows)
     return EXIT_OK
 
 
@@ -282,7 +284,7 @@ def _add_common(sub, *, energy_window=False, grid=None):
     sub.add_argument("--g", type=float, default=0.2, help="coupling strength")
     sub.add_argument("--delta", type=float, default=0.8, help="tunneling splitting")
     sub.add_argument("--epsilon", type=float, default=0.1, help="parity-breaking bias")
-    sub.add_argument("--omega", type=float, default=1.0, help="oscillator frequency (unit scale)")
+    sub.add_argument("--omega", type=_omega, default=1.0, help="oscillator frequency (unit scale)")
     if energy_window:
         sub.add_argument("--e-min", type=float, default=-1.5)
         sub.add_argument("--e-max", type=float, default=1.5)
@@ -326,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sp.add_parser("crossings", help="two-fold degeneracy of exceptional points")
     s.add_argument("--delta", type=float, required=True)
-    s.add_argument("--omega", type=float, default=1.0)
+    s.add_argument("--omega", type=_omega, default=1.0)
     s.add_argument("--n1", type=int, required=True)
     s.add_argument("--n2", type=int, required=True)
     s.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -51,7 +51,6 @@ def candidate_energy(N: int, branch: str, p: RabiParams) -> float:
     """Closed-form candidate E = N - g^2 +- eps (existence not implied)."""
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    p = p.reduced()
     sign = {PLUS: 1.0, MINUS: -1.0}[branch]
     return N - p.g ** 2 + sign * p.epsilon
 
@@ -77,7 +76,6 @@ def constraint_residual(N: int, branch: str, p: RabiParams,
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    p = p.reduced()
     E = candidate_energy(N, branch, p)
     worst = 0.0
     for hp, n_c in _component_sets(N, branch, E, p):
@@ -101,7 +99,6 @@ def constraint_residual(N: int, branch: str, p: RabiParams,
 
 def closed_form_relation(N: int, branch: str, p: RabiParams) -> float:
     """Residual of the explicit N = 1, 2 parameter relations (reduced units)."""
-    p = p.reduced()
     g2 = p.g ** 2
     d2 = p.delta ** 2
     eps = p.epsilon
@@ -157,7 +154,6 @@ def scan_exceptional(p_template: RabiParams,
         raise ValueError(f"sweep grid must be >= 200 points, got {grid}")
     if N_max > 10:
         raise ValueError(f"N_max is capped at 10, got {N_max}")
-    p_template = p_template.reduced()
 
     if g_range is not None:
         lo, hi = g_range

@@ -1,8 +1,9 @@
 """Model parameters and the confluent-Heun parameter maps.
 
 The Hamiltonian is H = omega*a^dag*a + g*sigma_x*(a^dag + a) + delta*sigma_z
-+ epsilon*sigma_x.  All internal computation uses reduced units (omega = 1,
-energies given as E/omega); the CLI converts physical inputs exactly once.
++ epsilon*sigma_x.  The library takes reduced parameters only: omega = 1, so
+g, delta and epsilon are given as multiples of omega and energies as E/omega.
+Only the CLI takes physical inputs (--omega) and divides them once.
 
 Energies are plain floats in reduced units throughout the package.  The Heun
 parameter maps also take a numpy array of energies, or a ``RabiParams`` whose
@@ -18,7 +19,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class RabiParams:
-    """Physical parameters: oscillator frequency, coupling, tunneling, bias.
+    """Coupling, tunneling and bias in units of the oscillator frequency.
 
     A field may be a numpy array (a sweep axis); every entry must be finite.
     """
@@ -26,26 +27,13 @@ class RabiParams:
     g: float
     delta: float
     epsilon: float
-    omega: float = 1.0
 
     def __post_init__(self):
-        if not (self.omega > 0):
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        for name in ("g", "delta", "epsilon", "omega"):
+        for name in ("g", "delta", "epsilon"):
             v = getattr(self, name)
             # scalars keep the cheap check: one spectrum builds dozens of these
             if not (np.isfinite(v).all() if isinstance(v, np.ndarray) else math.isfinite(v)):
                 raise ValueError(f"{name} must be finite")
-
-    @property
-    def is_reduced(self) -> bool:
-        return self.omega == 1.0
-
-    def reduced(self) -> "RabiParams":
-        """Copy with omega = 1 and the energy-like parameters divided by omega."""
-        w = self.omega
-        return RabiParams(g=self.g / w, delta=self.delta / w,
-                          epsilon=self.epsilon / w, omega=1.0)
 
 
 @dataclass(frozen=True)
@@ -72,17 +60,11 @@ class HeunParams:
                 + (self.gamma - self.alpha) * (self.beta + 1.0) / 2.0)
 
 
-def _require_reduced(p: RabiParams) -> None:
-    if not p.is_reduced:
-        raise ValueError("expected reduced parameters (omega = 1); call reduced() first")
-
-
 def heun_params_set1_plus(E: float, p: RabiParams) -> HeunParams:
     """Parameter set of the spin-symmetric component of the first solution family.
 
     The series lives on x = (g - z)/(2g) with prefactor exp(-g*z).
     """
-    _require_reduced(p)
     g2 = p.g * p.g
     d2 = p.delta * p.delta
     eps = p.epsilon
@@ -98,7 +80,6 @@ def heun_params_set1_plus(E: float, p: RabiParams) -> HeunParams:
 
 def heun_params_set1_minus(E: float, p: RabiParams) -> HeunParams:
     """Parameter set of the spin-antisymmetric component of the first family."""
-    _require_reduced(p)
     g2 = p.g * p.g
     d2 = p.delta * p.delta
     eps = p.epsilon

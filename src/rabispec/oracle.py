@@ -43,13 +43,6 @@ class SpinFockState:
         """Interleaved vector matching the Hamiltonian basis ordering 2n + spin."""
         return self.amplitudes.reshape(-1)
 
-    @staticmethod
-    def from_flat(vec: np.ndarray) -> "SpinFockState":
-        vec = np.asarray(vec, dtype=float)
-        if vec.size % 2 != 0:
-            raise ValueError("flat vector length must be even")
-        return SpinFockState(vec.reshape(-1, 2))
-
 
 @dataclass
 class OracleResult:
@@ -63,7 +56,6 @@ def build_hamiltonian(p: RabiParams, n_c: int) -> np.ndarray:
     """Real symmetric matrix of dimension 2(n_c + 1), basis (n, down), (n, up)."""
     if n_c < 1:
         raise ValueError(f"n_c must be >= 1, got {n_c}")
-    p = p.reduced()
     dim = 2 * (n_c + 1)
     H = np.zeros((dim, dim))
     n = np.arange(n_c + 1)
@@ -95,7 +87,6 @@ def eigen(p: RabiParams, k: int, tol: float = 1e-9,
         raise ValueError(f"k must be >= 1, got {k}")
     if not (tol > 0):
         raise ValueError(f"tol must be positive, got {tol}")
-    p = p.reduced()
     n_c = min(max(16, k), N_C_CAP)
     vals = np.linalg.eigvalsh(build_hamiltonian(p, n_c))
     converged = 0
@@ -127,7 +118,6 @@ def eigen_in_window(p: RabiParams, e_min: float, e_max: float,
     converged_count counts those of them that ``eigen`` reports converged,
     i.e. whose index in its ascending list is below its converged_count.
     """
-    p = p.reduced()
     k = max(4, math.ceil(2.0 * (e_max + p.g ** 2 + p.delta + abs(p.epsilon) + 2.0)))
     while True:
         res = eigen(p, k, tol=tol)

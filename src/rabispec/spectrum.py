@@ -95,7 +95,8 @@ def assemble(p: RabiParams, e_window: Tuple[float, float], N_max: int = 4,
     e_min, e_max = e_window
     if not (e_min < e_max):
         raise ValueError(f"invalid window [{e_min}, {e_max}]")
-    p = p.reduced()
+    if grid_n < 100:
+        raise ValueError(f"grid_n must be >= 100, got {grid_n}")
     orc = oracle_mod.eigen_in_window(p, e_min, e_max)
     eigs = orc.eigenvalues
     if orc.converged_count < eigs.size:
@@ -167,8 +168,8 @@ def sweep(p_template: RabiParams, axis: str, axis_range: Tuple[float, float],
     ``find_regular_spectra`` search; each point is then assembled and
     oracle-audited on its own.  Per-point failures of the analytic path or
     the oracle (ValueError, DivergentSeriesError, LinAlgError) are recorded
-    in the metadata and the sweep continues; an inverted e_window is
-    rejected up front.
+    in the metadata and the sweep continues; an inverted e_window or a
+    grid_n below 100 is rejected up front.
     Markers found by the locus scan are grouped into degenerate coincidences
     (same axis value and energy), each group oracle-audited.
     """
@@ -178,19 +179,15 @@ def sweep(p_template: RabiParams, axis: str, axis_range: Tuple[float, float],
         raise ValueError(f"axis must be 'g' or 'epsilon', got {axis!r}")
     if not (e_window[0] < e_window[1]):
         raise ValueError(f"invalid window [{e_window[0]}, {e_window[1]}]")
-    p_template = p_template.reduced()
+    if grid_n < 100:
+        raise ValueError(f"grid_n must be >= 100, got {grid_n}")
     lo, hi = axis_range
     axis_values = np.linspace(lo, hi, steps)
     points = [replace(p_template, **{axis: float(v)}) for v in axis_values]
     # one batched search for every point off g = 0 (those are oracle-only)
     with_g = [i for i, pv in enumerate(points) if pv.g != 0.0]
-    try:
-        regular = dict(zip(with_g, find_regular_spectra(
-            [points[i] for i in with_g], *e_window, grid_n=grid_n)))
-    except ValueError:
-        # a rejected argument: each assemble call meets it again, and the
-        # failure is recorded per point below
-        regular = {}
+    regular = dict(zip(with_g, find_regular_spectra(
+        [points[i] for i in with_g], *e_window, grid_n=grid_n)))
     levels: List[List[SpectrumPoint]] = []
     failures = []
     for i, (v, pv) in enumerate(zip(axis_values, points)):

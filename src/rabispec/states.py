@@ -126,7 +126,6 @@ def fock_expand(pw1: PolynomialWavefunction, pw2: PolynomialWavefunction,
 def reconstruct_exceptional_state(p: RabiParams, branch: str, N: int = 1,
                                   n_c: int = 60) -> SpinFockState:
     """Fock-basis eigenstate at the branch's exceptional energy."""
-    p = p.reduced()
     family = FIRST if branch == PLUS else SECOND
     E = candidate_energy(N, branch, p)
     pair = build_pair(family, E, p)
@@ -142,7 +141,6 @@ def closed_form_state_check(p: RabiParams, branch: str, n_c: int = 60) -> float:
     the photon-added normalization sqrt(L_1(-g^2)) = sqrt(1 + g^2) cancels
     against a^dag|b> = sqrt(1 + g^2) |b, 1>, leaving (u + w' a^dag)|b>.
     """
-    p = p.reduced()
     rel = closed_form_relation(1, branch, p)
     if abs(rel) > 1e-8:
         raise ValueError(

@@ -175,6 +175,29 @@ def test_bad_arguments_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["crossings", "--delta", "0.8", "--n1", "1", "--n2", "2", "--omega", "0"],
+    ["crossings", "--delta", "0.8", "--n1", "1", "--n2", "2", "--omega", "-2"],
+    ["crossings", "--delta", "0.8", "--n1", "1", "--n2", "2", "--omega", "inf"],
+    ["crossings", "--delta", "0.8", "--n1", "1", "--n2", "2", "--omega", "nan"],
+    ["spectrum", "--omega", "0"],
+])
+def test_omega_must_be_finite_and_positive(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "omega must be finite and > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "sweep"])
+def test_grid_below_100_exits_2(tmp_path, command, capsys):
+    # --grid is the finder's grid: it is passed on as given, never raised to 100
+    extra = ["--range", "0.15:0.25:2", "--n-max", "1"] if command == "sweep" else []
+    code, text = run(tmp_path, command, "--grid", "50", *extra)
+    assert code == 2 and text == ""
+    assert "grid_n must be >= 100" in capsys.readouterr().err
+
+
 def test_seed_only_for_verify(capsys):
     # only verify has randomized checks, so only verify takes --seed
     with pytest.raises(SystemExit) as exc:

@@ -7,28 +7,15 @@ from rabispec.model import (HeunParams, RabiParams, heun_params_set1_minus,
                             heun_params_set1_plus, heun_params_set2)
 
 
-def test_reduced_units():
-    p = RabiParams(g=0.4, delta=1.6, epsilon=0.2, omega=2.0)
-    r = p.reduced()
-    assert r.omega == 1.0
-    assert r.g == 0.2 and r.delta == 0.8 and r.epsilon == 0.1
-    assert not p.is_reduced and r.is_reduced
-
-
 def test_invalid_params_rejected():
     with pytest.raises(ValueError):
-        RabiParams(g=0.1, delta=0.1, epsilon=0.0, omega=0.0)
-    with pytest.raises(ValueError):
         RabiParams(g=math.nan, delta=0.1, epsilon=0.0)
-    with pytest.raises(ValueError):
-        heun_params_set1_plus(0.0, RabiParams(g=0.1, delta=0.1, epsilon=0.0, omega=2.0))
 
 
 def test_array_fields_accepted_and_checked():
     g = np.linspace(0.1, 1.0, 7)
     p = RabiParams(g=g, delta=0.8, epsilon=0.1)
     assert np.array_equal(heun_params_set1_plus(0.5, p).alpha, 4.0 * g * g)
-    assert np.array_equal(p.reduced().g, g)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             RabiParams(g=np.array([0.1, bad, 0.3]), delta=0.8, epsilon=0.1)

@@ -118,13 +118,6 @@ def test_overlap_pads_cutoffs():
     assert eigenvector_overlap(a, b) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_physical_units_accepted():
-    # build_hamiltonian reduces internally; spectra scale with omega
-    a = eigen(RabiParams(g=0.4, delta=1.6, epsilon=0.2, omega=2.0), 4)
-    b = eigen(RabiParams(g=0.2, delta=0.8, epsilon=0.1), 4)
-    assert np.allclose(a.eigenvalues, b.eigenvalues, atol=1e-12)
-
-
 def test_validation():
     p = RabiParams(g=0.2, delta=0.8, epsilon=0.1)
     with pytest.raises(ValueError):

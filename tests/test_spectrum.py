@@ -58,6 +58,9 @@ def test_assemble_g0_oracle_only():
 def test_assemble_validates_window():
     with pytest.raises(ValueError):
         assemble(P_EXC, (1.0, -1.0))
+    # at g = 0 the finder is never reached, so assemble checks grid_n itself
+    with pytest.raises(ValueError, match="grid_n"):
+        assemble(RabiParams(g=0.0, delta=0.8, epsilon=0.1), (-1.5, 1.5), grid_n=50)
 
 
 def test_sweep_two_steps_well_formed():
@@ -89,6 +92,9 @@ def test_sweep_validates():
         sweep(P_EXC, "g", (0.1, 0.4), steps=1, e_window=(-1, 1))
     with pytest.raises(ValueError):
         sweep(P_EXC, "x", (0.1, 0.4), steps=3, e_window=(-1, 1))
+    # raised up front, not recorded as a failure at every point
+    with pytest.raises(ValueError, match="grid_n"):
+        sweep(P_EXC, "g", (0.15, 0.25), steps=2, e_window=(-1.5, 1.5), grid_n=50)
 
 
 def test_sweep_rejects_inverted_window():

@@ -117,6 +117,14 @@ def eval_component(pair: SolutionPair, which: str, z: float):
     return pref * ev.value, pref * (s * ev.value + ev.derivative * dxdz)
 
 
+def candidate_energy(N: int, branch: str, p: RabiParams):
+    """Closed-form candidate E = N - g^2 +- eps (existence not implied);
+    ``p`` may carry arrays."""
+    if N < 0:
+        raise ValueError(f"N must be >= 0, got {N}")
+    return N - p.g * p.g + {PLUS: 1.0, MINUS: -1.0}[branch] * p.epsilon
+
+
 def exceptional_candidates(p: RabiParams, e_min: float, e_max: float):
     """(N, branch, E) for every candidate energy E = N - g^2 +- eps in range.
 
@@ -129,8 +137,8 @@ def exceptional_candidates(p: RabiParams, e_min: float, e_max: float):
     n_lo = max(0, math.floor(e_min + g2 - abs(p.epsilon)) - 1)
     n_hi = math.ceil(e_max + g2 + abs(p.epsilon)) + 1
     for N in range(n_lo, n_hi + 1):
-        for branch, sign in ((PLUS, 1.0), (MINUS, -1.0)):
-            E = N - g2 + sign * p.epsilon
+        for branch in (PLUS, MINUS):
+            E = candidate_energy(N, branch, p)
             if e_min <= E <= e_max:
                 out.append((N, branch, E))
     out.sort(key=lambda t: t[2])

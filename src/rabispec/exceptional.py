@@ -19,7 +19,8 @@ import numpy as np
 
 from .model import RabiParams
 from . import heun
-from .analytic import FIRST, MINUS, PLUS, SECOND, component_params, refine_brackets
+from .analytic import (FIRST, MINUS, PLUS, SECOND, candidate_energy,
+                       component_params, refine_brackets)
 from . import oracle as oracle_mod
 
 CROSSING_G_RANGE = (1e-3, 2.0)   # g interval that find_crossings scans
@@ -45,14 +46,6 @@ class CrossingPoint:
     delta_relation: float         # delta^2 + 4 g_star^2 on the crossing locus
     energy: float
     boundary: bool = False        # g_star pinned at 0 (degenerate locus edge)
-
-
-def candidate_energy(N: int, branch: str, p: RabiParams) -> float:
-    """Closed-form candidate E = N - g^2 +- eps (existence not implied)."""
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
-    sign = {PLUS: 1.0, MINUS: -1.0}[branch]
-    return N - p.g ** 2 + sign * p.epsilon
 
 
 def _component_sets(N: int, branch: str, E: float, p: RabiParams):
@@ -134,6 +127,15 @@ def _locus_roots(N: int, branch: str, make, axis: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate([lo[a == 0.0], root[found]]))
 
 
+def oracle_counts(points: List[ExceptionalPoint]) -> np.ndarray:
+    """Converged oracle eigenvalues within 1e-6 of each point's energy, all
+    points counted in one ``oracle.count_in`` batch."""
+    E = np.array([pt.energy for pt in points])
+    g, delta, eps = (np.array([getattr(pt.params, f) for pt in points])
+                     for f in ("g", "delta", "epsilon"))
+    return oracle_mod.count_in(g, delta, eps, E - 1e-6, E + 1e-6)
+
+
 def scan_exceptional(p_template: RabiParams,
                      g_range: Optional[Tuple[float, float]] = None,
                      epsilon_range: Optional[Tuple[float, float]] = None,
@@ -145,8 +147,8 @@ def scan_exceptional(p_template: RabiParams,
     Evaluates the signed truncation indicator of each (N, branch) on the
     whole sweep grid at once and refines all its sign changes together with
     ``refine_brackets`` (Chandrupatla's method), then accepts a point only if
-    the full two-component residual passes and (optionally) the oracle has a
-    converged eigenvalue within 1e-6 of it.
+    the full two-component residual passes and (optionally) the oracle counts
+    a converged eigenvalue within 1e-6 of it (one batch for all points).
     """
     if (g_range is None) == (epsilon_range is None):
         raise ValueError("provide exactly one of g_range, epsilon_range")
@@ -171,17 +173,13 @@ def scan_exceptional(p_template: RabiParams,
             for root in _locus_roots(N, branch, make, axis).tolist():
                 pr = make(root)
                 res = constraint_residual(N, branch, pr, tol=tol)
-                if not (res <= tol):
-                    continue
-                E = candidate_energy(N, branch, pr)
-                if oracle_check:
-                    orc = oracle_mod.eigen_in_window(pr, E - 0.5, E + 0.5)
-                    conv = orc.eigenvalues[:orc.converged_count]
-                    if conv.size == 0 or np.min(np.abs(conv - E)) > 1e-6:
-                        continue
-                found.append(ExceptionalPoint(
-                    N=N, branch=branch, energy=E, constraint_residual=res,
-                    family=FIRST if branch == PLUS else SECOND, params=pr))
+                if res <= tol:
+                    found.append(ExceptionalPoint(
+                        N=N, branch=branch, energy=candidate_energy(N, branch, pr),
+                        constraint_residual=res,
+                        family=FIRST if branch == PLUS else SECOND, params=pr))
+    if oracle_check:
+        found = [pt for pt, c in zip(found, oracle_counts(found)) if c >= 1]
     axis_of = (lambda pt: pt.params.g) if g_range is not None else (lambda pt: pt.params.epsilon)
     found.sort(key=lambda pt: (axis_of(pt), pt.N, pt.branch))
     return found

@@ -5,6 +5,10 @@ The Hamiltonian a^dag a + g sigma_x (a^dag + a) + delta sigma_z
 (n, down), (n, up) for n = 0..n_c, which keeps the matrix banded with
 bandwidth 3, and diagonalized with a dense symmetric eigensolver.  The cutoff
 starts small and is doubled until the requested low-lying eigenvalues agree.
+
+``count_in`` counts eigenvalues in a window without computing any, from the
+inertia of the 2x2 block Schur complements of H - sigma (Sylvester's law and
+Haynsworth's inertia additivity: a block Sturm count, O(n_c) per shift).
 """
 from __future__ import annotations
 
@@ -18,6 +22,7 @@ from .model import RabiParams
 
 DEGENERACY_TOL = 1e-8
 N_C_CAP = 2048
+PIVOT_SHIFT = 1e-100    # a pivot block with |det| below its square moves down by it
 
 
 @dataclass
@@ -128,6 +133,56 @@ def eigen_in_window(p: RabiParams, e_min: float, e_max: float,
     return OracleResult(eigenvalues=res.eigenvalues[sel], eigenvectors=None,
                         cutoff_used=res.cutoff_used,
                         converged_count=int(np.count_nonzero(sel[:res.converged_count])))
+
+
+def count_in(g, delta, epsilon, lo, hi) -> np.ndarray:
+    """Converged eigenvalues in [lo, hi], elementwise over broadcast arrays.
+
+    The count below sigma is the number of negative eigenvalues of the Schur
+    complements S_0 = D_0 - sigma, S_n = D_n - sigma - g^2 n X S_{n-1}^-1 X
+    of the blocks (n, down), (n, up), with D_n = [[n - delta, eps],
+    [eps, n + delta]] and X the spin swap.  A singular pivot moves down by
+    PIVOT_SHIFT, so an eigenvalue on sigma counts as below it.  The cutoff
+    starts where ``eigen_in_window`` would for the batch's widest window and
+    doubles until the counts below lo and below hi agree at two consecutive
+    cutoffs, within N_C_CAP; an element that never agrees, or has lo > hi,
+    counts 0.
+    """
+    g, delta, epsilon, lo, hi = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (g, delta, epsilon, lo, hi)))
+    out = np.zeros(g.shape, dtype=int)
+    if g.size == 0:
+        return out
+    k = np.ceil(2.0 * (hi + g * g + delta + np.abs(epsilon) + 2.0)).max()
+    n_c = min(max(16, int(k)), N_C_CAP)
+    idx = np.arange(g.size)
+    # rows: the shift lo, the shift hi; columns: elements
+    g2, de, ep = (v.reshape(1, -1) for v in (g * g, delta, epsilon))
+    sig = np.stack([lo.ravel(), hi.ravel()])
+    a, d, b = -de - sig, de - sig, np.broadcast_to(ep, sig.shape)
+    det = a * d - b * b
+    below, prev, n = np.zeros(sig.shape, dtype=int), np.full(sig.shape, -1), 0
+    while True:
+        tiny = np.abs(det) < PIVOT_SHIFT ** 2
+        if tiny.any():
+            det = np.where(tiny, det - PIVOT_SHIFT * (a + d) + PIVOT_SHIFT ** 2, det)
+            a, d = a - PIVOT_SHIFT * tiny, d - PIVOT_SHIFT * tiny
+        below += np.where(det < 0, 1, np.where(a + d < 0, 2, 0))
+        if n == n_c:
+            agree = (below == prev).all(axis=0)
+            out.flat[idx[agree]] = np.maximum(below[1] - below[0], 0)[agree]
+            idx, keep = idx[~agree], ~agree
+            g2, de, ep, sig, a, d, b, det, below = (
+                v[:, keep] for v in (g2, de, ep, sig, a, d, b, det, below))
+            if idx.size == 0 or 2 * n_c > N_C_CAP:
+                return out
+            prev, n_c = below.copy(), 2 * n_c
+        n += 1
+        ca, cd = n - de - sig, n + de - sig
+        t = g2 * n / det
+        # det S_n without forming the products of two large entries
+        det = ca * cd - ep * ep + t * (g2 * n - cd * a - ca * d - 2.0 * ep * b)
+        a, d, b = ca - t * a, cd - t * d, ep + t * b
 
 
 def eigenvector_overlap(a: SpinFockState, b: SpinFockState) -> float:

@@ -19,9 +19,10 @@ import numpy as np
 
 from .model import RabiParams
 from . import heun
-from .analytic import MINUS, PLUS, find_regular_spectra, find_regular_spectrum
-from .exceptional import (ExceptionalPoint, candidate_energy,
-                          constraint_residual, scan_exceptional)
+from .analytic import (MINUS, PLUS, candidate_energy, find_regular_spectra,
+                       find_regular_spectrum)
+from .exceptional import (ExceptionalPoint, constraint_residual, oracle_counts,
+                          scan_exceptional)
 from . import oracle as oracle_mod
 
 GAP_TOL = 1e-4
@@ -171,7 +172,7 @@ def sweep(p_template: RabiParams, axis: str, axis_range: Tuple[float, float],
     in the metadata and the sweep continues; an inverted e_window or a
     grid_n below 100 is rejected up front.
     Markers found by the locus scan are grouped into degenerate coincidences
-    (same axis value and energy), each group oracle-audited.
+    (same axis value and energy), all oracle-counted in one batch.
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
@@ -234,34 +235,22 @@ def _group_markers(markers: List[ExceptionalPoint], axis: str,
     within GROUP_ENERGY_TOL) form degenerate groups.
 
     A group's oracle_degeneracy counts the converged oracle eigenvalues
-    within 1e-6 of its energy.
+    within 1e-6 of its energy, all groups in one ``oracle_counts`` batch.
     """
     def axis_of(pt):
         return pt.params.g if axis == "g" else pt.params.epsilon
 
-    in_window = [m for m in markers if e_window[0] <= m.energy <= e_window[1]]
-    used = [False] * len(in_window)
+    left = [m for m in markers if e_window[0] <= m.energy <= e_window[1]]
     groups = []
-    for i, m in enumerate(in_window):
-        if used[i]:
-            continue
-        group = [m]
-        used[i] = True
-        for j in range(i + 1, len(in_window)):
-            if used[j]:
-                continue
-            other = in_window[j]
-            if (abs(axis_of(other) - axis_of(m)) <= GROUP_AXIS_TOL
-                    and abs(other.energy - m.energy) <= GROUP_ENERGY_TOL):
-                group.append(other)
-                used[j] = True
-        orc = oracle_mod.eigen_in_window(m.params, m.energy - 0.25, m.energy + 0.25)
-        near = np.abs(orc.eigenvalues[:orc.converged_count] - m.energy) <= 1e-6
-        groups.append({
-            "axis_value": axis_of(m),
-            "energy": m.energy,
-            "members": [(q.N, q.branch) for q in group],
-            "degeneracy": len(group),
-            "oracle_degeneracy": int(near.sum()),
-        })
-    return groups
+    while left:
+        m = left[0]
+        near = [abs(axis_of(q) - axis_of(m)) <= GROUP_AXIS_TOL
+                and abs(q.energy - m.energy) <= GROUP_ENERGY_TOL for q in left]
+        groups.append([q for q, c in zip(left, near) if c])
+        left = [q for q, c in zip(left, near) if not c]
+    return [{"axis_value": axis_of(group[0]),
+             "energy": group[0].energy,
+             "members": [(q.N, q.branch) for q in group],
+             "degeneracy": len(group),
+             "oracle_degeneracy": int(count)}
+            for group, count in zip(groups, oracle_counts([grp[0] for grp in groups]))]

@@ -21,9 +21,8 @@ from numpy.polynomial import polynomial as npoly
 
 from .model import RabiParams
 from . import heun
-from .analytic import FIRST, PLUS, SECOND, SolutionPair, build_pair
-from .exceptional import candidate_energy, closed_form_relation
-from .oracle import SpinFockState, eigenvector_overlap
+from .analytic import FIRST, PLUS, SECOND, SolutionPair, build_pair, candidate_energy
+from .oracle import SpinFockState
 
 FOCK_TAIL_TOL = 1e-14
 
@@ -131,41 +130,3 @@ def reconstruct_exceptional_state(p: RabiParams, branch: str, N: int = 1,
     pair = build_pair(family, E, p)
     pw1, pw2 = reexpand(pair)
     return fock_expand(pw1, pw2, n_c)
-
-
-def closed_form_state_check(p: RabiParams, branch: str, n_c: int = 60) -> float:
-    """1 - overlap between the explicit N = 1 coherent-state form and the
-    reconstruction through reexpand/fock_expand.
-
-    The explicit form is u |b> + w |b, 1> per spin component with b = -+g;
-    the photon-added normalization sqrt(L_1(-g^2)) = sqrt(1 + g^2) cancels
-    against a^dag|b> = sqrt(1 + g^2) |b, 1>, leaving (u + w' a^dag)|b>.
-    """
-    rel = closed_form_relation(1, branch, p)
-    if abs(rel) > 1e-8:
-        raise ValueError(
-            f"parameters off the N = 1 {branch} locus (relation residual {rel:.3e})")
-    g, d, eps = p.g, p.delta, p.epsilon
-    if branch == PLUS:
-        b = -g
-        den = 1.0 + 2.0 * eps
-        u1, w1 = 1.0 + (d - 2.0 * g * g) / den, 2.0 * g / den
-        u2, w2 = 1.0 - (d + 2.0 * g * g) / den, 2.0 * g / den
-    else:
-        b = g
-        den = 1.0 - 2.0 * eps
-        u1, w1 = 1.0 + (d - 2.0 * g * g) / den, -2.0 * g / den
-        u2, w2 = -(1.0 - (d + 2.0 * g * g) / den), 2.0 * g / den
-    k = np.arange(n_c + 1)
-    log_coh = k * math.log(abs(b)) if b != 0.0 else np.where(k == 0, 0.0, -np.inf)
-    coh = np.sign(b) ** k * np.exp(log_coh - 0.5 *
-                                   np.array([math.lgamma(int(q) + 1) for q in k]))
-    pac = np.zeros(n_c + 1)
-    pac[1:] = np.sqrt(k[1:]) * coh[:-1]          # a^dag |b>, unnormalized
-    # psi_1 bracket rides spin-up, psi_2 spin-down, as in fock_expand
-    amps = np.stack([u2 * coh + w2 * pac,
-                     u1 * coh + w1 * pac], axis=1)
-    amps /= np.linalg.norm(amps)
-    explicit_state = SpinFockState(amps)
-    mine = reconstruct_exceptional_state(p, branch, N=1, n_c=n_c)
-    return 1.0 - eigenvector_overlap(explicit_state, mine)

@@ -15,11 +15,11 @@ import numpy as np
 
 from .model import RabiParams
 from . import heun
-from .analytic import (FIRST, MINUS, PLUS, SECOND, build_pair, component_params,
-                       eval_component, find_regular_spectrum)
-from .exceptional import (candidate_energy, closed_form_relation,
-                          constraint_residual, factorization_identity_check,
-                          find_crossings, scan_exceptional)
+from .analytic import (FIRST, MINUS, PLUS, SECOND, build_pair, candidate_energy,
+                       component_params, eval_component, find_regular_spectrum)
+from .exceptional import (closed_form_relation, constraint_residual,
+                          factorization_identity_check, find_crossings,
+                          scan_exceptional)
 from . import oracle as oracle_mod
 from .states import reconstruct_exceptional_state
 from .spectrum import sweep

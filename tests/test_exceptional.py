@@ -212,3 +212,29 @@ def test_no_wronskian_root_even_without_windows(monkeypatch):
         roots = analytic.find_regular_spectrum(pt.params, pt.energy - 0.05,
                                                pt.energy + 0.05, grid_n=120)
         assert all(abs(q.energy - pt.energy) > 1e-3 for q in roots)
+
+
+def _dense_accepts(pt):
+    # the dense rule: a converged eigen_in_window eigenvalue within 1e-6
+    orc = oracle.eigen_in_window(pt.params, pt.energy - 0.5, pt.energy + 0.5)
+    conv = orc.eigenvalues[:orc.converged_count]
+    return conv.size > 0 and np.min(np.abs(conv - pt.energy)) <= 1e-6
+
+
+def test_scan_acceptance_matches_dense_rule():
+    # the counting oracle accepts exactly the points the dense rule accepts
+    rng = np.random.default_rng(19)
+    for i in range(6):
+        N_max = int(rng.integers(1, 6))
+        if i % 2 == 0:
+            p = RabiParams(g=0.1, delta=rng.uniform(0.2, 1.2),
+                           epsilon=0.0 if i == 0 else rng.uniform(-0.5, 0.5))
+            kw = {"g_range": (0.05, 1.5)}
+        else:
+            p = RabiParams(g=rng.uniform(0.1, 1.0), delta=rng.uniform(0.2, 1.2),
+                           epsilon=0.0)
+            kw = {"epsilon_range": (-0.8, 0.8)}
+        located = scan_exceptional(p, N_max=N_max, oracle_check=False, **kw)
+        assert located
+        assert scan_exceptional(p, N_max=N_max, **kw) == [
+            pt for pt in located if _dense_accepts(pt)], (p, kw, N_max)

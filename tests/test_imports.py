@@ -1,0 +1,25 @@
+"""Importing the package pulls in neither scipy nor mpmath.
+
+Both are installed for the tests and the benchmark's references only.
+Importing scipy.linalg after numpy takes the peak resident set of a Python
+process from about 27 MB to about 55 MB.
+"""
+import os
+import subprocess
+import sys
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+MODULES = ("analytic", "cli", "exceptional", "heun", "model", "oracle", "spectrum",
+           "states", "verify")
+
+
+def test_package_imports_neither_scipy_nor_mpmath():
+    code = ("import sys\n"
+            + "".join(f"import rabispec.{m}\n" for m in MODULES)
+            + "assert rabispec.__file__.startswith(sys.argv[1]), rabispec.__file__\n"
+            + "loaded = [m for m in ('scipy', 'mpmath') if m in sys.modules]\n"
+            + "assert not loaded, loaded\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code, SRC], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -5,7 +5,7 @@ import pytest
 
 from rabispec import oracle
 from rabispec.model import RabiParams
-from rabispec.oracle import (SpinFockState, build_hamiltonian, eigen,
+from rabispec.oracle import (SpinFockState, build_hamiltonian, count_in, eigen,
                              eigen_in_window, eigenvector_overlap)
 
 
@@ -168,3 +168,98 @@ def test_eigen_cutoff_ceiling():
     res = eigen_in_window(RabiParams(g=g, delta=d, epsilon=e), lo, lo + 4.0)
     assert res.eigenvalues.size == res.converged_count > 0
     assert res.cutoff_used <= 256
+
+
+def _random_point(rng, i):
+    # g up to 3, and every third point unbiased (eps = 0: two parity chains)
+    return RabiParams(g=rng.uniform(0.0, 3.0), delta=rng.uniform(-1.5, 1.5),
+                      epsilon=0.0 if i % 3 == 0 else rng.uniform(-1.0, 1.0))
+
+
+def _dense_count(p, n_c, lo, hi):
+    vals = np.linalg.eigvalsh(build_hamiltonian(p, n_c))
+    return np.searchsorted(vals, hi, side="right") - np.searchsorted(vals, lo)
+
+
+def test_count_in_matches_dense_eigenvalues():
+    # low-lying windows, converged at n_c = 96 for g <= 3: the block Sturm
+    # count equals the dense count at thousands of random shifts per point
+    rng = np.random.default_rng(11)
+    for i in range(60):
+        p = _random_point(rng, i)
+        e0 = -p.g ** 2 - math.hypot(p.delta, p.epsilon)
+        lo, hi = np.sort(rng.uniform(e0 - 1.0, e0 + 12.0, (2, 2000)), axis=0)
+        got = count_in(p.g, p.delta, p.epsilon, lo, hi)
+        assert got.shape == lo.shape and got.dtype.kind == "i"
+        np.testing.assert_array_equal(got, _dense_count(p, 96, lo, hi), err_msg=str(p))
+
+
+def test_count_in_singular_pivots_do_not_warn():
+    # shifts on a pivot (det S_n = 0): g = 0, a zero first block, eps = 0
+    # chains, the first block's eigenvalues at g > 0, and eigenvalues of a
+    # truncated Hamiltonian (a later pivot); pytest turns any warning into an
+    # error, and the count may take the eigenvalue on the shift either way
+    cases = [(0.0, 0.8, 0.0, 0.2), (0.3, 0.0, 0.0, 0.0), (0.5, 0.8, 0.0, -0.8),
+             (0.0, 0.0, 0.0, 0.0), (0.0, 0.3, 0.4, 1.5), (0.4, 0.3, 0.4, 0.5),
+             (0.4, 0.3, 0.4, -0.5), (1.2, 0.0, 0.0, -1.44)]
+    for g, d, e in [(0.4, 0.3, 0.4), (1.1, 0.8, 0.0), (0.0, 0.5, 0.2)]:
+        for n in (1, 2, 5):
+            cases += [(g, d, e, s) for s in
+                      np.linalg.eigvalsh(build_hamiltonian(RabiParams(g, d, e), n))[:4]]
+    for g, d, e, s in cases:
+        vals = np.linalg.eigvalsh(build_hamiltonian(RabiParams(g, d, e), 128))
+        got = int(count_in(g, d, e, -50.0, s))
+        assert (np.searchsorted(vals, s - 1e-9) <= got
+                <= np.searchsorted(vals, s + 1e-9, side="right")), (g, d, e, s)
+
+
+def _first_cutoff(p, hi):
+    k = max(4, math.ceil(2.0 * (hi + p.g * p.g + p.delta + abs(p.epsilon) + 2.0)))
+    return max(16, k)
+
+
+def test_count_in_matches_four_times_its_cutoff():
+    # counts that agree at two consecutive cutoffs must be converged: find the
+    # cutoff count_in accepts by its rule, with dense counts, and compare with
+    # a basis four times larger
+    rng = np.random.default_rng(7)
+    for i in range(16):
+        p = _random_point(rng, i)
+        lo = rng.uniform(-2.0, 6.0)
+        hi = lo + rng.uniform(1e-6, 2.0)
+        n_c = _first_cutoff(p, hi)
+        prev = _dense_count(p, n_c, lo, hi)
+        while True:
+            n_c *= 2
+            cur = _dense_count(p, n_c, lo, hi)
+            if cur == prev:
+                break
+            prev = cur
+        assert count_in(p.g, p.delta, p.epsilon, lo, hi) == cur, (p, lo, hi)
+        assert _dense_count(p, 4 * n_c, lo, hi) == cur, (p, lo, hi, n_c)
+
+
+def test_count_in_batch_independent():
+    # the batch sets the first cutoff, yet a point's count does not depend on
+    # the points counted with it
+    rng = np.random.default_rng(3)
+    ps = [_random_point(rng, i) for i in range(51)]
+    g, d, e = (np.array([getattr(p, f) for p in ps]) for f in ("g", "delta", "epsilon"))
+    lo = rng.uniform(-4.0, 8.0, 51)
+    hi = lo + rng.uniform(0.0, 3.0, 51)
+    batch = count_in(g, d, e, lo, hi)
+    for i in range(51):
+        assert count_in(g[i], d[i], e[i], lo[i], hi[i]) == batch[i]
+
+
+def test_count_in_empty_batch_and_inverted_window():
+    assert count_in([], [], [], [], []).shape == (0,)
+    assert count_in(0.8, 0.8, 0.5, [1.0, -1.0], [-1.0, 1.0]).tolist() == [0, 3]
+
+
+def test_count_in_respects_cap(monkeypatch):
+    # a first cutoff at the cap leaves no second one to agree with
+    p = RabiParams(g=0.8, delta=0.8, epsilon=0.5)
+    assert count_in(p.g, p.delta, p.epsilon, -1.0, 1.0) == 3
+    monkeypatch.setattr(oracle, "N_C_CAP", 12)
+    assert count_in(p.g, p.delta, p.epsilon, -1.0, 1.0) == 0

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rabispec import oracle
 from rabispec.model import RabiParams
 from rabispec.spectrum import assemble, sweep
 
@@ -171,3 +173,19 @@ def test_marker_groups_count_only_converged(monkeypatch):
     _cap_oracle(monkeypatch)
     groups = _group_markers(markers, "g", (-1.5, 1.5))
     assert [(grp["degeneracy"], grp["oracle_degeneracy"]) for grp in groups] == [(1, 0)]
+
+
+def test_marker_group_counts_match_dense_rule():
+    # every group's oracle_degeneracy equals the converged eigen_in_window
+    # eigenvalues within 1e-6 of its energy, degenerate groups included
+    for eps in (0.1, 0.0, 0.5):
+        p = replace(P_EXC, epsilon=eps)
+        res = sweep(p, "g", (0.05, 1.2), steps=2, e_window=(-1.5, 3.0), N_max=3)
+        assert res.marker_groups
+        for grp in res.marker_groups:
+            E = grp["energy"]
+            orc = oracle.eigen_in_window(replace(p, g=grp["axis_value"]), E - 0.25, E + 0.25)
+            near = np.abs(orc.eigenvalues[:orc.converged_count] - E) <= 1e-6
+            assert grp["oracle_degeneracy"] == int(near.sum()), (eps, grp)
+        if eps == 0.0:
+            assert all(grp["oracle_degeneracy"] == 2 for grp in res.marker_groups)

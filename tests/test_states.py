@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from rabispec.analytic import FIRST, MINUS, PLUS, SECOND, build_pair
-from rabispec.exceptional import candidate_energy
+from rabispec.exceptional import candidate_energy, closed_form_relation
 from rabispec.model import RabiParams
 from rabispec import oracle
-from rabispec.states import (PolynomialWavefunction, closed_form_state_check,
-                             component_polynomials, fock_expand,
-                             reconstruct_exceptional_state, reexpand)
+from rabispec.oracle import SpinFockState, eigenvector_overlap
+from rabispec.states import (PolynomialWavefunction, component_polynomials,
+                             fock_expand, reconstruct_exceptional_state, reexpand)
 
 P_EXC = RabiParams(g=0.2, delta=0.8, epsilon=0.1)
 JUDD = RabiParams(g=0.3, delta=0.8, epsilon=0.0)
@@ -102,6 +102,44 @@ def test_hamiltonian_residual():
         v = st.flatten()
         hnorm = np.abs(np.linalg.eigvalsh(H)).max()
         assert np.linalg.norm(H @ v - E * v) <= 1e-8 * hnorm
+
+
+def closed_form_state_check(p: RabiParams, branch: str, n_c: int = 60) -> float:
+    """Reference for the tests below: 1 - overlap between the explicit N = 1
+    coherent-state form and the reconstruction through reexpand/fock_expand.
+
+    The explicit form is u |b> + w |b, 1> per spin component with b = -+g;
+    the photon-added normalization sqrt(L_1(-g^2)) = sqrt(1 + g^2) cancels
+    against a^dag|b> = sqrt(1 + g^2) |b, 1>, leaving (u + w' a^dag)|b>.
+    """
+    rel = closed_form_relation(1, branch, p)
+    if abs(rel) > 1e-8:
+        raise ValueError(
+            f"parameters off the N = 1 {branch} locus (relation residual {rel:.3e})")
+    g, d, eps = p.g, p.delta, p.epsilon
+    if branch == PLUS:
+        b = -g
+        den = 1.0 + 2.0 * eps
+        u1, w1 = 1.0 + (d - 2.0 * g * g) / den, 2.0 * g / den
+        u2, w2 = 1.0 - (d + 2.0 * g * g) / den, 2.0 * g / den
+    else:
+        b = g
+        den = 1.0 - 2.0 * eps
+        u1, w1 = 1.0 + (d - 2.0 * g * g) / den, -2.0 * g / den
+        u2, w2 = -(1.0 - (d + 2.0 * g * g) / den), 2.0 * g / den
+    k = np.arange(n_c + 1)
+    log_coh = k * math.log(abs(b)) if b != 0.0 else np.where(k == 0, 0.0, -np.inf)
+    coh = np.sign(b) ** k * np.exp(log_coh - 0.5 *
+                                   np.array([math.lgamma(int(q) + 1) for q in k]))
+    pac = np.zeros(n_c + 1)
+    pac[1:] = np.sqrt(k[1:]) * coh[:-1]          # a^dag |b>, unnormalized
+    # psi_1 bracket rides spin-up, psi_2 spin-down, as in fock_expand
+    amps = np.stack([u2 * coh + w2 * pac,
+                     u1 * coh + w1 * pac], axis=1)
+    amps /= np.linalg.norm(amps)
+    explicit_state = SpinFockState(amps)
+    mine = reconstruct_exceptional_state(p, branch, N=1, n_c=n_c)
+    return 1.0 - eigenvector_overlap(explicit_state, mine)
 
 
 def test_closed_form_state_checks():

@@ -42,6 +42,13 @@ SECOND = "second"
 PLUS = "plus"
 MINUS = "minus"
 
+# The solution-family convention; other modules read it, never restate it.
+# Branch b truncates family FAMILY[b]: its component b truncates at N with
+# scale 1, the other at N - 1 with scale delta / scale_denominator.  Family
+# f lives on x = (g + SIGN[f] z)/(2g) with prefactor exp(SIGN[f] g z).
+FAMILY = {PLUS: FIRST, MINUS: SECOND}
+SIGN = {FIRST: -1.0, SECOND: 1.0}
+
 W_EXCL_DEFAULT = 1e-3    # half-width of the exclusion window around a candidate
 ROOT_TOL = 1e-9          # bracket width at which a Wronskian root is accepted
 
@@ -50,14 +57,18 @@ class ScalePoleError(ValueError):
     """Scale denominator E + g^2 +- epsilon vanishes at this energy."""
 
 
+def scale_denominator(family: str, E, p: RabiParams):
+    """E + g^2 - SIGN[family] eps, the denominator of the family's scaled
+    component; E and ``p`` may carry arrays."""
+    return E + p.g * p.g - SIGN[family] * p.epsilon
+
+
 def component_params(family: str, which: str, E: float, p: RabiParams):
     """Heun parameters of one component of one solution family."""
+    if family not in SIGN:
+        raise ValueError(f"unknown family {family!r}")
     base = heun_params_set1_plus(E, p) if which == PLUS else heun_params_set1_minus(E, p)
-    if family == FIRST:
-        return base
-    if family == SECOND:
-        return heun_params_set2(base)
-    raise ValueError(f"unknown family {family!r}")
+    return base if family == FIRST else heun_params_set2(base)
 
 
 @dataclass(frozen=True)
@@ -76,45 +87,31 @@ def build_pair(family: str, E: float, p: RabiParams) -> SolutionPair:
     if p.g == 0.0:
         raise ValueError("g = 0 is not supported by the analytic path; "
                          "the coordinate (g -+ z)/(2g) degenerates")
-    g2 = p.g * p.g
-    if family == FIRST:
-        denom = E + g2 + p.epsilon
-    elif family == SECOND:
-        denom = E + g2 - p.epsilon
-    else:
-        raise ValueError(f"unknown family {family!r}")
+    plus, minus = (build_series(component_params(family, which, E, p))
+                   for which in (PLUS, MINUS))
+    denom = scale_denominator(family, E, p)
     if abs(denom) < 1e-12 * max(1.0, abs(E)):
         raise ScalePoleError(
             f"scale denominator vanishes at E = {E} for family {family!r}")
-    plus = build_series(component_params(family, PLUS, E, p))
-    minus = build_series(component_params(family, MINUS, E, p))
-    if family == FIRST:
-        scale_plus, scale_minus = 1.0, p.delta / denom
-    else:
-        scale_plus, scale_minus = p.delta / denom, 1.0
+    scale_plus, scale_minus = (1.0 if FAMILY[which] == family else p.delta / denom
+                               for which in (PLUS, MINUS))
     return SolutionPair(family, plus, minus, scale_plus, scale_minus, E, p)
 
 
 def eval_component(pair: SolutionPair, which: str, z: float):
     """(value, d/dz) of one component at z, including prefactor and chain rule."""
     g = pair.params.g
-    if pair.family == FIRST:
-        x = (g - z) / (2.0 * g)
-        dxdz = -1.0 / (2.0 * g)
-        s = -g
-    else:
-        x = (g + z) / (2.0 * g)
-        dxdz = 1.0 / (2.0 * g)
-        s = g
+    s = SIGN[pair.family]
+    sg, dxdz = s * g, s / (2.0 * g)
     if which == PLUS:
         series, scale = pair.plus_series, pair.scale_plus
     elif which == MINUS:
         series, scale = pair.minus_series, pair.scale_minus
     else:
         raise ValueError(f"unknown component {which!r}")
-    ev = eval_series(series, x)
-    pref = scale * math.exp(s * z)
-    return pref * ev.value, pref * (s * ev.value + ev.derivative * dxdz)
+    ev = eval_series(series, (g + s * z) / (2.0 * g))
+    pref = scale * math.exp(sg * z)
+    return pref * ev.value, pref * (sg * ev.value + ev.derivative * dxdz)
 
 
 def candidate_energy(N: int, branch: str, p: RabiParams):
@@ -165,32 +162,28 @@ def wronskian_grid(E: np.ndarray, p: RabiParams):
         raise ValueError("g = 0 is not supported by the analytic path")
     E = np.asarray(E, dtype=float)
     g = p.g
-    eps = p.epsilon
-    g2 = g * g
-    dx1, dx2 = -1.0 / (2.0 * g), 1.0 / (2.0 * g)
-
-    rows = [component_params(family, which, E, p)
-            for which in (PLUS, MINUS) for family in (FIRST, SECOND)]
-    hp = HeunParams(*(np.stack([np.broadcast_to(getattr(r, f.name), E.shape)
-                                for r in rows])
-                      for f in fields(HeunParams)))
-    S, Dx, ok = heun.sum_stack(hp)
+    # rows psi_+^1, psi_+^2, psi_-^1, psi_-^2: each first-family map once and
+    # its second family from it, broadcast to E's shape in one call
+    p1, m1 = heun_params_set1_plus(E, p), heun_params_set1_minus(E, p)
+    rows = [(PLUS, FIRST, p1), (PLUS, SECOND, heun_params_set2(p1)),
+            (MINUS, FIRST, m1), (MINUS, SECOND, heun_params_set2(m1))]
+    cols = np.broadcast_arrays(E, *(getattr(hp, f.name) for f in fields(HeunParams)
+                                    for _, _, hp in rows))[1:]
+    S, Dx, ok = heun.sum_stack(HeunParams(*(np.stack(cols[i:i + 4])
+                                            for i in range(0, len(cols), 4))))
     reliable = np.all(ok, axis=0)
 
-    den_p = E + g2 - eps              # scale of psi_+^2
-    den_m = E + g2 + eps              # scale of psi_-^1
-    reliable &= (np.abs(den_p) > 1e-12) & (np.abs(den_m) > 1e-12)
+    vd = []
     with np.errstate(all="ignore"):   # singular scale denominators are unreliable
-        sc_p = p.delta / den_p
-        sc_m = p.delta / den_m
-        vp1 = S[0]
-        dp1 = -g * S[0] + dx1 * Dx[0]
-        vp2 = sc_p * S[1]
-        dp2 = sc_p * (g * S[1] + dx2 * Dx[1])
-        vm1 = sc_m * S[2]
-        dm1 = sc_m * (-g * S[2] + dx1 * Dx[2])
-        vm2 = S[3]
-        dm2 = g * S[3] + dx2 * Dx[3]
+        for r, (which, family, _) in enumerate(rows):
+            s = SIGN[family]
+            scale = 1.0
+            if FAMILY[which] != family:
+                den = scale_denominator(family, E, p)
+                reliable &= np.abs(den) > 1e-12
+                scale = p.delta / den
+            vd.append((scale * S[r], scale * (s * g * S[r] + s / (2.0 * g) * Dx[r])))
+        (vp1, dp1), (vp2, dp2), (vm1, dm1), (vm2, dm2) = vd
         w_plus = vp2 * dp1 - vp1 * dp2
         w_minus = vm2 * dm1 - vm1 * dm2
     return w_plus, w_minus, reliable

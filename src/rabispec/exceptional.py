@@ -1,13 +1,13 @@
 """Exceptional (isolated, Judd-type) eigenvalues and level crossings.
 
 An exceptional point with index N >= 1 has energy E = N - g^2 + eps
-("plus" branch, first solution family) or E = N - g^2 - eps ("minus" branch,
-second family).  At that energy the closing condition C(N+2) = 0 holds
-automatically for both components of the family; existence additionally
-requires the component series to terminate, h_{N_c + 1} = 0, where the
-truncation indices pair up as (N, N - 1) across the two components.  The
-partner family's series is divergent there, so these eigenvalues leave no
-sign-change zero in the Wronskian.
+("plus" branch) or E = N - g^2 - eps ("minus" branch).  At that energy the
+closing condition C(N+2) = 0 holds automatically for both components of the
+family the branch truncates (``analytic.FAMILY``); existence additionally
+requires the component series to terminate, h_{N_c + 1} = 0, at the
+truncation indices (N, N - 1) that ``analytic`` assigns to the two
+components.  The partner family's series is divergent there, so these
+eigenvalues leave no sign-change zero in the Wronskian.
 """
 from __future__ import annotations
 
@@ -19,8 +19,8 @@ import numpy as np
 
 from .model import RabiParams
 from . import heun
-from .analytic import (FIRST, MINUS, PLUS, SECOND, candidate_energy,
-                       component_params, refine_brackets)
+from .analytic import (FAMILY, MINUS, PLUS, candidate_energy, component_params,
+                       refine_brackets)
 from . import oracle as oracle_mod
 
 CROSSING_G_RANGE = (1e-3, 2.0)   # g interval that find_crossings scans
@@ -33,8 +33,12 @@ class ExceptionalPoint:
     branch: str                   # "plus" | "minus"
     energy: float
     constraint_residual: float
-    family: str                   # "first" (plus) | "second" (minus)
     params: RabiParams
+
+    @property
+    def family(self) -> str:
+        """The solution family the branch truncates."""
+        return FAMILY[self.branch]
 
 
 @dataclass(frozen=True)
@@ -50,13 +54,8 @@ class CrossingPoint:
 
 def _component_sets(N: int, branch: str, E: float, p: RabiParams):
     """(HeunParams, truncation index) for both components of the branch family."""
-    if branch == PLUS:
-        return [(component_params(FIRST, PLUS, E, p), N),
-                (component_params(FIRST, MINUS, E, p), N - 1)]
-    if branch == MINUS:
-        return [(component_params(SECOND, PLUS, E, p), N - 1),
-                (component_params(SECOND, MINUS, E, p), N)]
-    raise ValueError(f"unknown branch {branch!r}")
+    return [(component_params(FAMILY[branch], which, E, p),
+             N if which == branch else N - 1) for which in (PLUS, MINUS)]
 
 
 def constraint_residual(N: int, branch: str, p: RabiParams,
@@ -109,9 +108,7 @@ def _senior_obstruction(N: int, branch: str, p: RabiParams) -> float:
     parameter sweeps (finite across recurrence poles).  ``p`` may carry an
     array of g or epsilon."""
     E = candidate_energy(N, branch, p)
-    hp = (component_params(FIRST, PLUS, E, p) if branch == PLUS
-          else component_params(SECOND, MINUS, E, p))
-    return heun.truncation_obstruction(hp, N)
+    return heun.truncation_obstruction(component_params(FAMILY[branch], branch, E, p), N)
 
 
 def _locus_roots(N: int, branch: str, make, axis: np.ndarray) -> np.ndarray:
@@ -176,8 +173,7 @@ def scan_exceptional(p_template: RabiParams,
                 if res <= tol:
                     found.append(ExceptionalPoint(
                         N=N, branch=branch, energy=candidate_energy(N, branch, pr),
-                        constraint_residual=res,
-                        family=FIRST if branch == PLUS else SECOND, params=pr))
+                        constraint_residual=res, params=pr))
     if oracle_check:
         found = [pt for pt, c in zip(found, oracle_counts(found)) if c >= 1]
     axis_of = (lambda pt: pt.params.g) if g_range is not None else (lambda pt: pt.params.epsilon)
@@ -196,21 +192,22 @@ def pair_separation(pt_plus: ExceptionalPoint, pt_minus: ExceptionalPoint) -> fl
     return pt_plus.energy - pt_minus.energy
 
 
-def find_crossings(delta: float, N1: int, N2: int,
-                   tol: float = heun.TRUNC_TOL) -> Optional[CrossingPoint]:
+def find_crossings(delta: float, N1: int, N2: int) -> Optional[CrossingPoint]:
     """Two-fold degeneracy where the (N1, plus) and (N2, minus) exceptional
     points coincide; possible only at eps = (N2 - N1)/2.
 
     Finds the roots in g of the plus-branch constraint at that eps with the
     same array scan and ``refine_brackets`` refinement as ``scan_exceptional``
     and accepts the lowest root where the minus-branch residual also vanishes.
-    The scan covers CROSSING_GRID points of CROSSING_G_RANGE.  Returns None
+    The scan covers CROSSING_GRID points of CROSSING_G_RANGE, and both
+    residuals must be at most heun.TRUNC_TOL, read at call time.  Returns None
     when no such g exists in range; a degenerate locus pinned at g = 0 is
     reported with boundary=True.
     """
     if not (N2 > N1 >= 1):
         raise ValueError(f"need N2 > N1 >= 1, got ({N1}, {N2})")
     g_lo, g_hi = CROSSING_G_RANGE
+    tol = heun.TRUNC_TOL
     eps_star = 0.5 * (N2 - N1)
     make = lambda g: RabiParams(g=g, delta=delta, epsilon=eps_star)
     for root in _locus_roots(N1, PLUS, make,

@@ -116,19 +116,26 @@ def eigen(p: RabiParams, k: int, tol: float = 1e-9,
                         converged_count=converged)
 
 
+def index_bound(g, delta, epsilon, e_max):
+    """2 (e_max + g^2 + |delta| + |eps| + 2), elementwise: the eigenvalue of
+    index ceil(bound) - 1 lies at least 0.5 above e_max at any cutoff.
+
+    Without delta sigma_z the levels are n - g^2 +- eps, so by Weyl's
+    inequality eigenvalue i lies at or above floor(i/2) - g^2 - |eps| -
+    |delta|; truncated eigenvalues lie above the exact ones."""
+    return 2.0 * (e_max + g * g + np.abs(delta) + np.abs(epsilon) + 2.0)
+
+
 def eigen_in_window(p: RabiParams, e_min: float, e_max: float,
                     tol: float = 1e-9) -> OracleResult:
-    """The eigenvalues inside [e_min, e_max] (reduced units).
+    """The eigenvalues inside [e_min, e_max] (reduced units), from ``eigen``
+    for the ``index_bound`` lowest.
 
     converged_count counts those of them that ``eigen`` reports converged,
     i.e. whose index in its ascending list is below its converged_count.
     """
-    k = max(4, math.ceil(2.0 * (e_max + p.g ** 2 + p.delta + abs(p.epsilon) + 2.0)))
-    while True:
-        res = eigen(p, k, tol=tol)
-        if res.eigenvalues[-1] > e_max or res.converged_count < k:
-            break
-        k *= 2
+    k = max(4, math.ceil(index_bound(p.g, p.delta, p.epsilon, e_max)))
+    res = eigen(p, k, tol=tol)
     sel = (res.eigenvalues >= e_min) & (res.eigenvalues <= e_max)
     return OracleResult(eigenvalues=res.eigenvalues[sel], eigenvectors=None,
                         cutoff_used=res.cutoff_used,
@@ -143,7 +150,7 @@ def count_in(g, delta, epsilon, lo, hi) -> np.ndarray:
     of the blocks (n, down), (n, up), with D_n = [[n - delta, eps],
     [eps, n + delta]] and X the spin swap.  A singular pivot moves down by
     PIVOT_SHIFT, so an eigenvalue on sigma counts as below it.  The cutoff
-    starts where ``eigen_in_window`` would for the batch's widest window and
+    starts at the batch's largest ``index_bound`` up to hi (at least 16) and
     doubles until the counts below lo and below hi agree at two consecutive
     cutoffs, within N_C_CAP; an element that never agrees, or has lo > hi,
     counts 0.
@@ -153,7 +160,7 @@ def count_in(g, delta, epsilon, lo, hi) -> np.ndarray:
     out = np.zeros(g.shape, dtype=int)
     if g.size == 0:
         return out
-    k = np.ceil(2.0 * (hi + g * g + delta + np.abs(epsilon) + 2.0)).max()
+    k = np.ceil(index_bound(g, delta, epsilon, hi)).max()
     n_c = min(max(16, int(k)), N_C_CAP)
     idx = np.arange(g.size)
     # rows: the shift lo, the shift hi; columns: elements

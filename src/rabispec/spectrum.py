@@ -19,7 +19,7 @@ import numpy as np
 
 from .model import RabiParams
 from . import heun
-from .analytic import (MINUS, PLUS, candidate_energy, find_regular_spectra,
+from .analytic import (exceptional_candidates, find_regular_spectra,
                        find_regular_spectrum)
 from .exceptional import (ExceptionalPoint, constraint_residual, oracle_counts,
                           scan_exceptional)
@@ -58,18 +58,13 @@ class SweepResult:
 
 def _exceptional_points_at(p: RabiParams, e_min: float, e_max: float,
                            N_max: int, tol: float) -> List[SpectrumPoint]:
-    pts = []
-    for N in range(1, N_max + 1):
-        for branch in (PLUS, MINUS):
-            E = candidate_energy(N, branch, p)
-            if not (e_min <= E <= e_max):
-                continue
-            res = constraint_residual(N, branch, p, tol=tol)
-            if res <= tol:
-                pts.append(SpectrumPoint(energy=E, kind="exceptional",
-                                         residual=res, N=N, branch=branch,
-                                         provenance="truncation"))
-    return pts
+    """The candidates in the window with 1 <= N <= N_max whose truncation
+    residual is at most tol."""
+    return [SpectrumPoint(energy=E, kind="exceptional", residual=res, N=N,
+                          branch=branch, provenance="truncation")
+            for N, branch, E in exceptional_candidates(p, e_min, e_max)
+            if 1 <= N <= N_max
+            for res in [constraint_residual(N, branch, p, tol=tol)] if res <= tol]
 
 
 def _cluster(values: np.ndarray, tol: float) -> List[List[int]]:

@@ -12,7 +12,6 @@ eigenvectors.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -21,7 +20,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .model import RabiParams
 from . import heun
-from .analytic import FIRST, PLUS, SECOND, SolutionPair, build_pair, candidate_energy
+from .analytic import FAMILY, SIGN, SolutionPair, build_pair, candidate_energy
 from .oracle import SpinFockState
 
 FOCK_TAIL_TOL = 1e-14
@@ -43,9 +42,8 @@ def _series_poly_in_z(series, scale: float, g: float, family: str) -> np.ndarray
                          "regular states are validated via the oracle only")
     n = series.trunc_index
     hs = [series.coefficient(k) for k in range(n + 1)]
-    # x = 1/2 -+ z/(2g); Horner in coefficient space keeps the degree exact
-    c1 = -1.0 / (2.0 * g) if family == FIRST else 1.0 / (2.0 * g)
-    affine = np.array([0.5, c1])
+    # x = 1/2 + SIGN z/(2g); Horner in coefficient space keeps the degree exact
+    affine = np.array([0.5, SIGN[family] / (2.0 * g)])
     poly = np.array([hs[n]])
     for k in range(n - 1, -1, -1):
         poly = npoly.polyadd(npoly.polymul(poly, affine), [hs[k]])
@@ -64,7 +62,7 @@ def reexpand(pair: SolutionPair) -> Tuple[PolynomialWavefunction, PolynomialWave
     """psi_1 = psi_+ + psi_- and psi_2 = psi_+ - psi_- as polynomials sharing
     one exponential prefactor."""
     plus, minus = component_polynomials(pair)
-    sign = -pair.params.g if pair.family == FIRST else pair.params.g
+    sign = SIGN[pair.family] * pair.params.g
     psi1 = npoly.polyadd(plus, minus)
     psi2 = npoly.polysub(plus, minus)
     return (PolynomialWavefunction(sign, np.asarray(psi1), "psi1"),
@@ -74,25 +72,14 @@ def reexpand(pair: SolutionPair) -> Tuple[PolynomialWavefunction, PolynomialWave
 def _fock_amplitudes(poly: np.ndarray, s: float, n_c: int) -> np.ndarray:
     """Fock amplitudes of poly(a^dag) exp(s a^dag) |0>, unnormalized.
 
-    amplitude(k) = sum_j p_j s^(k-j) sqrt(k!)/(k-j)! , evaluated in log space
-    to stay finite at large k.
+    Horner's rule in a^dag on the coherent amplitudes s^k / sqrt(k!); the
+    cutoff loses nothing, since a^dag only moves amplitude up.
     """
+    root = np.sqrt(np.arange(1, n_c + 1))
+    coherent = np.cumprod(np.concatenate(([1.0], s / root)))
     amps = np.zeros(n_c + 1)
-    logs = math.log(abs(s)) if s != 0.0 else None
-    for k in range(n_c + 1):
-        total = 0.0
-        for j, pj in enumerate(poly):
-            if pj == 0.0 or j > k:
-                continue
-            m = k - j
-            if m == 0:
-                mag = math.exp(0.5 * math.lgamma(k + 1) - math.lgamma(1))
-                total += pj * mag
-            elif s != 0.0:
-                mag = math.exp(m * logs + 0.5 * math.lgamma(k + 1)
-                               - math.lgamma(m + 1))
-                total += pj * (1.0 if s > 0 else (-1.0) ** m) * mag
-        amps[k] = total
+    for pj in poly[::-1]:
+        amps = np.concatenate(([0.0], root * amps[:-1])) + pj * coherent
     return amps
 
 
@@ -125,8 +112,6 @@ def fock_expand(pw1: PolynomialWavefunction, pw2: PolynomialWavefunction,
 def reconstruct_exceptional_state(p: RabiParams, branch: str, N: int = 1,
                                   n_c: int = 60) -> SpinFockState:
     """Fock-basis eigenstate at the branch's exceptional energy."""
-    family = FIRST if branch == PLUS else SECOND
-    E = candidate_energy(N, branch, p)
-    pair = build_pair(family, E, p)
+    pair = build_pair(FAMILY[branch], candidate_energy(N, branch, p), p)
     pw1, pw2 = reexpand(pair)
     return fock_expand(pw1, pw2, n_c)

@@ -15,8 +15,9 @@ import numpy as np
 
 from .model import RabiParams
 from . import heun
-from .analytic import (FIRST, MINUS, PLUS, SECOND, build_pair, candidate_energy,
-                       component_params, eval_component, find_regular_spectrum)
+from .analytic import (FAMILY, FIRST, MINUS, PLUS, SECOND, build_pair,
+                       candidate_energy, component_params, eval_component,
+                       find_regular_spectrum)
 from .exceptional import (closed_form_relation, constraint_residual,
                           factorization_identity_check, find_crossings,
                           scan_exceptional)
@@ -139,10 +140,8 @@ def criterion_5() -> CriterionResult:
         for g in (0.1, 0.2, 0.5):
             p = RabiParams(g=g, delta=0.8, epsilon=eps)
             for N in range(1, 5):
-                plus = ExceptionalPoint(N, PLUS, candidate_energy(N, PLUS, p),
-                                        0.0, FIRST, p)
-                minus = ExceptionalPoint(N, MINUS, candidate_energy(N, MINUS, p),
-                                         0.0, SECOND, p)
+                plus = ExceptionalPoint(N, PLUS, candidate_energy(N, PLUS, p), 0.0, p)
+                minus = ExceptionalPoint(N, MINUS, candidate_energy(N, MINUS, p), 0.0, p)
                 worst = max(worst, abs(pair_separation(plus, minus) - 2.0 * eps))
                 count += 1
     ok = worst <= 1e-12
@@ -309,8 +308,7 @@ def criterion_10() -> CriterionResult:
     for p, branch, N in [(RabiParams(g=0.2, delta=0.8, epsilon=0.1), MINUS, 1),
                          (RabiParams(g=0.3, delta=0.8, epsilon=0.0), PLUS, 1)]:
         E = candidate_energy(N, branch, p)
-        hp = (component_params(FIRST, PLUS, E, p) if branch == PLUS
-              else component_params(SECOND, MINUS, E, p))
+        hp = component_params(FAMILY[branch], branch, E, p)
         if not constraint_residual(N, branch, p) <= 1e-10:
             closure_ok = False
             continue

@@ -234,3 +234,44 @@ def test_verify_report_deterministic(tmp_path):
     main(["verify", "--only", "5,7", "--seed", "3", "--out", str(a)])
     main(["verify", "--only", "5,7", "--seed", "3", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_verify_json(tmp_path):
+    code, text = run(tmp_path, "verify", "--only", "5,7", "--format", "json")
+    assert code == 0
+    doc = json.loads(text)
+    assert doc["all_passed"] is True
+    assert doc["metadata"]["criteria"] == "5,7"
+    assert doc["columns"] == ["index", "name", "passed", "details"]
+    assert [row[:3] for row in doc["rows"]] == [[5, "pair-separation", True],
+                                                [7, "factorization-identity", True]]
+
+
+def test_crossings_not_found_row(tmp_path):
+    # at delta = 3 the (2, plus) relation 64 g^2 + 121 = (16 g^2 + 17)^2 has
+    # no root in g, so the row says found=false with the empty fields
+    code, text = run(tmp_path, "crossings", "--delta", "3", "--n1", "2", "--n2", "3")
+    assert code == 0
+    rows = [ln for ln in text.splitlines() if ln and not ln.startswith(("#", "N1"))]
+    assert rows == ["2,3,0.5,,,,false,false"]
+
+
+@pytest.mark.parametrize("spec", ["1.0:0.5:3", "0.1:0.2:1"])
+def test_range_rejected(spec, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--range", spec])
+    assert exc.value.code == 2
+    assert "need a < b and steps >= 2" in capsys.readouterr().err
+
+
+def test_sweep_csv_markers_to_stdout(capsys):
+    # without --out the marker table follows the level table on stdout
+    code = main(["sweep", "--range", "0.15:0.25:2", "--n-max", "1"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines.count("# command: sweep") == 2
+    start = lines.index("axis_value,N,branch,E_over_omega,degeneracy,oracle_degeneracy")
+    assert lines.index("axis_value,level_index,E_over_omega,kind,N,branch,degeneracy") < start
+    (row,) = [ln.split(",") for ln in lines[start + 1:]]
+    assert row[1:3] == ["1", "minus"] and row[4:] == ["1", "1"]
+    assert abs(float(row[0]) - 0.2) < 1e-9 and abs(float(row[3]) - 0.86) < 1e-12

@@ -116,14 +116,12 @@ def test_scan_validates_arguments():
 def test_pair_separation():
     for eps, N in [(0.1, 1), (0.0, 2), (0.25, 3)]:
         p = RabiParams(g=0.2, delta=0.8, epsilon=eps)
-        plus = ExceptionalPoint(N, PLUS, candidate_energy(N, PLUS, p), 0.0,
-                                "first", p)
-        minus = ExceptionalPoint(N, MINUS, candidate_energy(N, MINUS, p), 0.0,
-                                 "second", p)
+        plus = ExceptionalPoint(N, PLUS, candidate_energy(N, PLUS, p), 0.0, p)
+        minus = ExceptionalPoint(N, MINUS, candidate_energy(N, MINUS, p), 0.0, p)
         assert pair_separation(plus, minus) == pytest.approx(2 * eps, abs=1e-15)
     with pytest.raises(ValueError):
         pair_separation(minus, plus)
-    other = ExceptionalPoint(1, MINUS, 0.0, 0.0, "second", p)
+    other = ExceptionalPoint(1, MINUS, 0.0, 0.0, p)
     with pytest.raises(ValueError):
         pair_separation(plus, other)
 

@@ -263,3 +263,20 @@ def test_count_in_respects_cap(monkeypatch):
     assert count_in(p.g, p.delta, p.epsilon, -1.0, 1.0) == 3
     monkeypatch.setattr(oracle, "N_C_CAP", 12)
     assert count_in(p.g, p.delta, p.epsilon, -1.0, 1.0) == 0
+
+
+def test_delta_reflection_leaves_windows_unchanged():
+    # sigma_x H(delta) sigma_x = H(-delta), so the window eigenvalues and the
+    # counts cannot depend on the sign of delta; index_bound must take |delta|
+    # (its + 2 hides a signed delta up to |delta| ~ 1.5, so these go to 3)
+    rng = np.random.default_rng(17)
+    g, d, e = rng.uniform(0.1, 2.5, 60), rng.uniform(0.0, 3.0, 60), rng.uniform(-0.5, 0.5, 60)
+    lo = -g * g - np.hypot(d, e) - 0.05
+    hi = lo + rng.uniform(1.0, 6.0, 60)
+    counts = count_in(g, d, e, lo, hi)
+    np.testing.assert_array_equal(count_in(g, -d, e, lo, hi), counts)
+    for i in range(60):
+        a, b = (eigen_in_window(RabiParams(g=g[i], delta=s, epsilon=e[i]), lo[i], hi[i])
+                for s in (d[i], -d[i]))
+        assert a.converged_count == b.converged_count == b.eigenvalues.size == counts[i]
+        np.testing.assert_allclose(b.eigenvalues, a.eigenvalues, rtol=0, atol=1e-9)

@@ -60,6 +60,22 @@ def test_fock_expand_coherent_state():
     assert np.all(st.amplitudes[:, 0] == 0.0)
 
 
+def test_fock_expand_photon_added_terms():
+    # poly(a^dag) exp(s a^dag)|0> has amplitude sum_j p_j s^(k-j) sqrt(k!)/(k-j)!
+    poly = np.array([0.3, -1.2, 0.0, 0.5])
+    for s in (0.7, -0.7, 0.0):
+        pw1 = PolynomialWavefunction(s, poly, "psi1")
+        pw2 = PolynomialWavefunction(s, np.array([1.0]), "psi2")
+        st = fock_expand(pw1, pw2, 50)
+        ref = np.array([[sum(p * s ** (k - j) * math.sqrt(math.factorial(k))
+                             / math.factorial(k - j)
+                             for j, p in enumerate(poly) if j <= k), c]
+                        for k in range(51)
+                        for c in [s ** k / math.sqrt(math.factorial(k))]])
+        np.testing.assert_allclose(st.amplitudes[:, [1, 0]], ref / np.linalg.norm(ref),
+                                   rtol=0, atol=1e-15)
+
+
 def test_fock_expand_norm_and_tail():
     st = reconstruct_exceptional_state(P_EXC, MINUS, n_c=60)
     assert st.norm == pytest.approx(1.0, abs=1e-12)

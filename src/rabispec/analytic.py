@@ -14,14 +14,16 @@ vanish; the regular spectrum is found as sign-change zeros of W_+ in E at
 z = 0, with exclusion windows around the candidate energies N - g^2 +- eps
 where the series recurrence has poles (exceptional-point territory).
 
+``refine_brackets`` is the one root scan: it takes the exact zeros and
+refines the sign changes of f on a sample grid cut into segments where f is
+continuous; the regular levels and the exceptional loci both come from it.
 ``wronskian_grid`` stacks the four series of a whole array of energies, with
 parameters from the ``model`` maps, and ``heun.sum_stack`` sums them in one
 recurrence; g, delta and eps may be arrays, one entry per energy, since at
 z = 0 every parameter point puts its series at x = 1/2.
 ``find_regular_spectra`` therefore searches many points (a sweep) as one
-batch: their sign grids share one ``wronskian_grid`` call, and
-``refine_brackets`` refines the sign changes of all of them together by
-Chandrupatla's method, one ``wronskian_grid`` call per step.
+batch: their sign grids share one ``wronskian_grid`` call and one
+``refine_brackets`` call, which makes one ``wronskian_grid`` call per step.
 ``find_regular_spectrum`` is the one-point case.  ``build_pair`` and
 ``eval_component`` build one family's series on their own and evaluate them
 at any z, away from z = 0 too.
@@ -67,6 +69,8 @@ def component_params(family: str, which: str, E: float, p: RabiParams):
     """Heun parameters of one component of one solution family."""
     if family not in SIGN:
         raise ValueError(f"unknown family {family!r}")
+    if which not in (PLUS, MINUS):
+        raise ValueError(f"unknown component {which!r}")
     base = heun_params_set1_plus(E, p) if which == PLUS else heun_params_set1_minus(E, p)
     return base if family == FIRST else heun_params_set2(base)
 
@@ -189,29 +193,38 @@ def wronskian_grid(E: np.ndarray, p: RabiParams):
     return w_plus, w_minus, reliable
 
 
-def refine_brackets(f, x1, x2, f1, f2, tol, *per_bracket):
-    """Refine the sign changes of f in the brackets [x1, x2] all at once.
+def refine_brackets(f, x, fx, ok, segment, tol, *per_sample):
+    """Every root of f on a segmented sample grid, refined all at once.
 
-    Chandrupatla's method (Adv. Eng. Softw. 28 (1997) 145): each step tries
-    inverse quadratic interpolation through the two bracket ends and the end
-    dropped last, and bisects where Chandrupatla's test finds that unsafe.
-    Every new point lies at least tol/2 inside the bracket, so the bracket
-    shrinks on every step.  ``f`` maps an array of points to
-    (values, reliable) and is called once per step, for the brackets still
-    open; trailing ``per_bracket`` arrays (one entry per bracket) are cut
-    to the open brackets with them and passed to ``f`` after the points.  A
-    bracket closes once it is no wider than tol (plus a few ulps of its
-    ends) or f vanishes at an end, and reports the end of smaller |f|; a
-    bracket whose new point is unreliable is dropped.  Returns
-    (roots, |f(roots)|, found), NaN where not found.
+    ``fx`` holds f at the samples ``x``, ``ok`` marks the usable samples and
+    ``segment`` ids the runs of samples over which f is continuous.  A root
+    is an ``ok`` sample where f is exactly 0, or a sign change between two
+    ``ok`` neighbours of one segment, refined by Chandrupatla's method (Adv.
+    Eng. Softw. 28 (1997) 145): each step tries inverse quadratic
+    interpolation through the two bracket ends and the end dropped last, and
+    bisects where Chandrupatla's test finds that unsafe.  Every new point
+    lies at least tol/2 inside the bracket, so the bracket shrinks on every
+    step.  ``f`` maps an array of points to (values, reliable) and is called
+    once per step, for the brackets still open; trailing ``per_sample``
+    arrays are cut to the left ends of the open brackets and passed to ``f``
+    after the points.  A bracket closes once it is no wider than tol (plus a
+    few ulps of its ends) or f vanishes at an end, and reports the end of
+    smaller |f|; a bracket whose new point is unreliable is dropped.
+    Returns (roots, |f(roots)|, sample index of each root: a bracket's left
+    end), ascending in the index.
     """
-    x1, x2, f1, f2 = (np.array(a, dtype=float) for a in (x1, x2, f1, f2))
-    per_bracket = [np.asarray(a) for a in per_bracket]
-    root = np.full(x1.shape, np.nan)
-    resid = np.full(x1.shape, np.nan)
-    found = np.zeros(x1.shape, dtype=bool)
-    idx = np.arange(x1.size)
-    t = np.full(x1.shape, 0.5)
+    x, fx = np.asarray(x, dtype=float), np.asarray(fx, dtype=float)
+    ok, segment = np.asarray(ok, dtype=bool), np.asarray(segment)
+    zero = np.flatnonzero(ok & (fx == 0.0))
+    fa, fb = fx[:-1], fx[1:]
+    left = np.flatnonzero(ok[:-1] & ok[1:] & (segment[:-1] == segment[1:])
+                          & (fa != 0.0) & (fb != 0.0) & (np.sign(fa) != np.sign(fb)))
+    x1, x2, f1, f2 = x[left], x[left + 1], fx[left], fx[left + 1]
+    per_bracket = [np.asarray(a)[left] for a in per_sample]
+    root, resid = np.empty(left.size), np.empty(left.size)
+    found = np.zeros(left.size, dtype=bool)
+    idx = np.arange(left.size)
+    t = np.full(left.size, 0.5)
     while idx.size:
         xt = x1 + t * (x2 - x1)
         ft, rel = f(xt, *per_bracket)
@@ -240,7 +253,10 @@ def refine_brackets(f, x1, x2, f1, f2, tol, *per_bracket):
         go = rel & ~stop
         idx, x1, x2, f1, f2, t = (a[go] for a in (idx, x1, x2, f1, f2, t))
         per_bracket = [a[go] for a in per_bracket]
-    return root, resid, found
+    at = np.concatenate([zero, left[found]])
+    order = np.argsort(at)
+    return (np.concatenate([x[zero], root[found]])[order],
+            np.concatenate([np.abs(fx[zero]), resid[found]])[order], at[order])
 
 
 def find_regular_spectra(points, e_min: float, e_max: float, grid_n: int = 600):
@@ -248,16 +264,16 @@ def find_regular_spectra(points, e_min: float, e_max: float, grid_n: int = 600):
 
     Each point has its own sign grid: grid_n energies plus samples hugging
     the edges of the exclusion windows around its candidate energies
-    N - g^2 +- eps.  At z = 0 every point's series sit at x = 1/2, so the
-    grids of all points are evaluated in one ``wronskian_grid`` call with
-    per-element (g, delta, eps).  Grid samples inside a window are skipped;
-    brackets never span a skipped or unreliable sample, a candidate energy
-    or two points.  The brackets of all points are refined together by
-    ``refine_brackets`` to a width of ROOT_TOL, one ``wronskian_grid`` call
-    per step, and refined roots landing inside a window of their point are
-    dropped; a root's residual is |W_+| there.  The window half-width is
-    W_EXCL_DEFAULT, read at call time like ROOT_TOL.  Returns one ascending
-    list of SpectrumPoint per point.
+    N - g^2 +- eps, where W_+ has poles.  At z = 0 every point's series sit
+    at x = 1/2, so the grids of all points are evaluated in one
+    ``wronskian_grid`` call with per-element (g, delta, eps).  Samples inside
+    a window or unreliable are not used, and a segment of the grid is one
+    point between two of its candidate energies, so no bracket spans a
+    skipped sample, a candidate energy or two points.  ``refine_brackets``
+    finds the roots of all points together, refined to a width of ROOT_TOL
+    with one ``wronskian_grid`` call per step; a root's residual is |W_+|
+    there.  The window half-width is W_EXCL_DEFAULT, read at call time like
+    ROOT_TOL.  Returns one ascending list of SpectrumPoint per point.
     """
     from .spectrum import SpectrumPoint
 
@@ -297,27 +313,12 @@ def find_regular_spectra(points, e_min: float, e_max: float, grid_n: int = 600):
     wp, rel = w_plus(grid, owner)
     dist = grid[:, None] - excl[owner]
     ok = rel & np.all(np.abs(dist) > W_EXCL_DEFAULT, axis=1)
-
-    # neighbours of one point form a bracket when both are usable and the
-    # same number of its candidate energies lies below each (none between)
-    lo, hi, k = grid[:-1], grid[1:], owner[:-1]
-    below = np.count_nonzero(dist > 0.0, axis=1)
-    pair = ok[:-1] & ok[1:] & (k == owner[1:]) & (below[:-1] == below[1:])
-    last = np.append(k != owner[1:], True)
-    at_zero = (wp == 0.0) & np.where(last, ok, np.append(pair, False))
-    w_lo, w_hi = wp[:-1], wp[1:]
-    brk = pair & (w_lo != 0.0) & (w_hi != 0.0) & (np.sign(w_lo) != np.sign(w_hi))
-    root, resid, found = refine_brackets(w_plus, lo[brk], hi[brk], w_lo[brk], w_hi[brk],
-                                         ROOT_TOL, k[brk])
-
-    e = np.concatenate([grid[at_zero], root[found]])
-    r = np.concatenate([np.zeros(at_zero.sum()), resid[found]])
-    k = np.concatenate([owner[at_zero], k[brk][found]])
-    keep = np.all(np.abs(e[:, None] - excl[k]) > W_EXCL_DEFAULT, axis=1)
-    e, r, k = e[keep], r[keep], k[keep]
-    order = np.lexsort((r, e, k))
+    # W_+ is continuous between two candidate energies of one point, so a
+    # segment is a point and the number of its candidates below the sample
+    segment = owner * (excl.shape[1] + 1) + np.count_nonzero(dist > 0.0, axis=1)
+    e, r, at = refine_brackets(w_plus, grid, wp, ok, segment, ROOT_TOL, owner)
     out = [[] for _ in points]
-    for ki, ei, ri in zip(*(a[order].tolist() for a in (k, e, r))):
+    for ki, ei, ri in zip(owner[at].tolist(), e.tolist(), r.tolist()):
         out[ki].append(SpectrumPoint(energy=ei, kind="regular", residual=ri,
                                      provenance="wronskian"))
     return out

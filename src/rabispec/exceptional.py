@@ -113,15 +113,13 @@ def _senior_obstruction(N: int, branch: str, p: RabiParams) -> float:
 
 def _locus_roots(N: int, branch: str, make, axis: np.ndarray) -> np.ndarray:
     """Ascending roots of the (N, branch) truncation indicator along the sweep
-    axis: grid zeros, and every sign change refined by ``refine_brackets``."""
+    axis, one ``refine_brackets`` call over the axis as a single segment."""
     def f(v):
         return _senior_obstruction(N, branch, make(v)), np.ones(v.shape, dtype=bool)
 
     vals = f(axis)[0]
-    a, b, lo, hi = vals[:-1], vals[1:], axis[:-1], axis[1:]
-    brk = (a != 0.0) & (b != 0.0) & ((a > 0) != (b > 0))
-    root, _, found = refine_brackets(f, lo[brk], hi[brk], a[brk], b[brk], tol=1e-13)
-    return np.sort(np.concatenate([lo[a == 0.0], root[found]]))
+    return refine_brackets(f, axis, vals, np.isfinite(vals), np.zeros(axis.size),
+                           1e-13)[0]
 
 
 def oracle_counts(points: List[ExceptionalPoint]) -> np.ndarray:

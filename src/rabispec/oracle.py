@@ -126,8 +126,7 @@ def index_bound(g, delta, epsilon, e_max):
     return 2.0 * (e_max + g * g + np.abs(delta) + np.abs(epsilon) + 2.0)
 
 
-def eigen_in_window(p: RabiParams, e_min: float, e_max: float,
-                    tol: float = 1e-9) -> OracleResult:
+def eigen_in_window(p: RabiParams, e_min: float, e_max: float) -> OracleResult:
     """The eigenvalues inside [e_min, e_max] (reduced units), from ``eigen``
     for the ``index_bound`` lowest.
 
@@ -135,7 +134,7 @@ def eigen_in_window(p: RabiParams, e_min: float, e_max: float,
     i.e. whose index in its ascending list is below its converged_count.
     """
     k = max(4, math.ceil(index_bound(p.g, p.delta, p.epsilon, e_max)))
-    res = eigen(p, k, tol=tol)
+    res = eigen(p, k)
     sel = (res.eigenvalues >= e_min) & (res.eigenvalues <= e_max)
     return OracleResult(eigenvalues=res.eigenvalues[sel], eigenvectors=None,
                         cutoff_used=res.cutoff_used,

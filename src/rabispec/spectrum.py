@@ -3,8 +3,8 @@
 Every assembled point is matched against the diagonalization oracle; oracle
 eigenvalues that neither method reproduces are emitted as flagged gap entries
 (provenance "oracle-assisted") rather than dropped, so discrepancies stay
-visible.  Duplicates within the degeneracy tolerance collapse into one point
-with its degeneracy count.
+visible.  Duplicates within the degeneracy tolerance collapse into one point,
+whose degeneracy is the number of oracle eigenvalues matched to it.
 
 A sweep finds the regular spectra of all its points in one batched
 Wronskian search (``find_regular_spectra``) and then assembles and audits
@@ -113,16 +113,14 @@ def assemble(p: RabiParams, e_window: Tuple[float, float], N_max: int = 4,
     candidates = regular + _exceptional_points_at(p, e_min, e_max, N_max, tol)
     candidates.sort(key=lambda q: q.energy)
 
-    # collapse duplicates, preferring the exceptional (closed-form) entry
+    # collapse duplicates, preferring the exceptional (closed-form) entry; the
+    # audit below sets each point's degeneracy from its oracle cluster
     merged: List[SpectrumPoint] = []
     for pt in candidates:
-        if merged and abs(pt.energy - merged[-1].energy) < DEDUP_TOL:
-            keep, other = merged[-1], pt
-            if other.kind == "exceptional" and keep.kind != "exceptional":
-                keep, other = other, keep
-            merged[-1] = replace(keep, degeneracy=keep.degeneracy + other.degeneracy)
-        else:
+        if not (merged and abs(pt.energy - merged[-1].energy) < DEDUP_TOL):
             merged.append(pt)
+        elif pt.kind == "exceptional" and merged[-1].kind != "exceptional":
+            merged[-1] = pt
 
     # audit against the oracle: assign eigenvalue clusters to points
     clusters = _cluster(eigs, DEDUP_TOL)
@@ -208,12 +206,6 @@ def sweep(p_template: RabiParams, axis: str, axis_range: Tuple[float, float],
             if b:
                 max_step = max(max_step, min(abs(e - x) for x in b))
     meta = {
-        "template": p_template,
-        "axis_range": (float(lo), float(hi)),
-        "steps": steps,
-        "e_window": tuple(map(float, e_window)),
-        "N_max": N_max,
-        "tol": tol,
         "failures": failures,
         "gap_counts": [sum(1 for q in lv if q.provenance == "oracle-assisted")
                        for lv in levels],

@@ -6,8 +6,9 @@ import pytest
 
 from rabispec import analytic, heun
 from rabispec.analytic import (FIRST, MINUS, PLUS, SECOND, W_EXCL_DEFAULT,
-                               ScalePoleError, build_pair, eval_component,
-                               exceptional_candidates, find_regular_spectra,
+                               ScalePoleError, build_pair, component_params,
+                               eval_component, exceptional_candidates,
+                               find_regular_spectra,
                                find_regular_spectrum,
                                refine_brackets, wronskian_grid)
 from rabispec.model import RabiParams
@@ -62,6 +63,13 @@ def test_build_pair_errors():
     # scale denominator E + g^2 + eps = 0
     with pytest.raises(ScalePoleError):
         build_pair(FIRST, -P_EXC.g ** 2 - P_EXC.epsilon, P_EXC)
+
+
+def test_component_params_rejects_unknown_component():
+    with pytest.raises(ValueError, match="unknown component 'bogus'"):
+        component_params(FIRST, "bogus", 0.3, RabiParams(0.2, 0.8, 0.1))
+    with pytest.raises(ValueError, match="unknown family"):
+        component_params("bogus", PLUS, 0.3, RabiParams(0.2, 0.8, 0.1))
 
 
 def test_eval_component_at_series_origin():
@@ -319,6 +327,16 @@ def test_regular_spectrum_refinement_calls(monkeypatch):
         assert q.residual == abs(real(np.array([q.energy]), P_EXC)[0][0])
 
 
+def _per_bracket(x, ok, segment, roots, resid, at):
+    """refine_brackets' roots as (root, resid, found) per bracket between
+    neighbouring ok samples of one segment, NaN where dropped."""
+    left = np.flatnonzero(ok[:-1] & ok[1:] & (segment[:-1] == segment[1:]))
+    root, res = np.full(left.size, np.nan), np.full(left.size, np.nan)
+    found = np.isin(left, at)
+    root[found], res[found] = roots, resid
+    return root, res, found
+
+
 def test_refine_brackets_synthetic():
     seen = []
 
@@ -326,8 +344,9 @@ def test_refine_brackets_synthetic():
         seen.append(x.copy())
         return np.cos(x), np.ones(x.shape, dtype=bool)
 
-    root, resid, found = refine_brackets(f, [1.0], [2.0], [math.cos(1.0)],
-                                         [math.cos(2.0)], 1e-10)
+    x, ok, seg = np.array([1.0, 2.0]), np.ones(2, dtype=bool), np.zeros(2)
+    root, resid, found = _per_bracket(x, ok, seg,
+                                      *refine_brackets(f, x, np.cos(x), ok, seg, 1e-10))
     assert found[0]
     assert abs(root[0] - math.pi / 2) <= 1e-10
     assert resid[0] == abs(math.cos(root[0]))
@@ -340,8 +359,35 @@ def test_refine_brackets_drops_unreliable_bracket_only():
     def f(x):
         return np.sin(x), ~((6.0 < x) & (x < 6.5))
 
-    lo, hi = np.array([3.0, 6.0]), np.array([3.5, 6.5])
-    root, resid, found = refine_brackets(f, lo, hi, np.sin(lo), np.sin(hi), 1e-9)
+    x, ok, seg = np.array([3.0, 3.5, 6.0, 6.5]), np.ones(4, dtype=bool), np.array([0, 0, 1, 1])
+    root, resid, found = _per_bracket(x, ok, seg,
+                                      *refine_brackets(f, x, np.sin(x), ok, seg, 1e-9))
     assert found.tolist() == [True, False]
     assert abs(root[0] - math.pi) <= 1e-9
     assert math.isnan(root[1]) and math.isnan(resid[1])
+
+
+def test_refine_brackets_segments_equal_separate_calls():
+    # f is continuous on each segment only: tan jumps at odd multiples of pi/2;
+    # a per-sample shift rides along to f; an exact zero (x = 0), skipped
+    # samples and sign changes across segment boundaries are all in the grid
+    rng = np.random.default_rng(3)
+    x = np.sort(np.append(rng.uniform(0.0, 7.0, 80), 0.0))
+    seg = np.searchsorted(np.array([1, 3, 5]) * math.pi / 2, x)
+    shift = 0.01 * seg
+
+    def f(v, s):
+        return np.tan(v) - s, np.ones(v.shape, dtype=bool)
+
+    fx, ok = f(x, shift)[0], np.abs(np.cos(x)) > 0.02
+    whole = refine_brackets(f, x, fx, ok, seg, 1e-12, shift)
+    parts = []
+    for k in range(4):
+        m = np.flatnonzero(seg == k)
+        roots, resid, at = refine_brackets(f, x[m], fx[m], ok[m], seg[m], 1e-12, shift[m])
+        parts.append((roots, resid, m[at]))
+    for a, b in zip(whole, (np.concatenate(p) for p in zip(*parts))):
+        assert a.tobytes() == b.tobytes()
+    assert whole[0].size == 3 and whole[1][0] == 0.0
+    assert np.all(np.diff(whole[2]) > 0)
+    assert np.all(np.abs(np.tan(whole[0]) - shift[whole[2]]) <= 1e-9)

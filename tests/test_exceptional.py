@@ -212,6 +212,17 @@ def test_no_wronskian_root_even_without_windows(monkeypatch):
         assert all(abs(q.energy - pt.energy) > 1e-3 for q in roots)
 
 
+def test_locus_roots_counts_exact_zero_at_last_sample(monkeypatch):
+    # an indicator that vanishes exactly at g = 0.5 has that root whether
+    # 0.5 is the last axis sample or an interior one
+    from rabispec import exceptional
+    monkeypatch.setattr(exceptional, "_senior_obstruction", lambda N, branch, p: p.g - 0.5)
+    make = lambda g: RabiParams(g=g, delta=0.8, epsilon=0.1)
+    for hi in (0.5, 0.9):
+        roots = exceptional._locus_roots(1, PLUS, make, np.linspace(0.1, hi, 201))
+        assert roots.tolist() == [0.5]
+
+
 def _dense_accepts(pt):
     # the dense rule: a converged eigen_in_window eigenvalue within 1e-6
     orc = oracle.eigen_in_window(pt.params, pt.energy - 0.5, pt.energy + 0.5)

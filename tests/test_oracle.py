@@ -99,7 +99,7 @@ def test_epsilon_reflection_symmetry():
 
 def test_eigen_in_window():
     p = RabiParams(g=0.2, delta=0.8, epsilon=0.1)
-    res = eigen_in_window(p, -1.5, 1.5, tol=1e-9)
+    res = eigen_in_window(p, -1.5, 1.5)
     assert len(res.eigenvalues) == 4
     assert np.all(res.eigenvalues >= -1.5) and np.all(res.eigenvalues <= 1.5)
 

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, fields
 import numpy as np
 
-from .model import (HeunParams, RabiParams, heun_params_set1_minus,
+from .model import (HeunParams, RabiParams, SpectrumPoint, heun_params_set1_minus,
                     heun_params_set1_plus, heun_params_set2)
 from . import heun
 from .heun import HeunSeries, build_series, eval_series
@@ -50,6 +50,8 @@ MINUS = "minus"
 # f lives on x = (g + SIGN[f] z)/(2g) with prefactor exp(SIGN[f] g z).
 FAMILY = {PLUS: FIRST, MINUS: SECOND}
 SIGN = {FIRST: -1.0, SECOND: 1.0}
+# the sign of eps in a branch's candidate energy N - g^2 +- eps
+BRANCH_SIGN = {PLUS: 1.0, MINUS: -1.0}
 
 W_EXCL_DEFAULT = 1e-3    # half-width of the exclusion window around a candidate
 ROOT_TOL = 1e-9          # bracket width at which a Wronskian root is accepted
@@ -123,7 +125,7 @@ def candidate_energy(N: int, branch: str, p: RabiParams):
     ``p`` may carry arrays."""
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    return N - p.g * p.g + {PLUS: 1.0, MINUS: -1.0}[branch] * p.epsilon
+    return N - p.g * p.g + BRANCH_SIGN[branch] * p.epsilon
 
 
 def exceptional_candidates(p: RabiParams, e_min: float, e_max: float):
@@ -275,8 +277,6 @@ def find_regular_spectra(points, e_min: float, e_max: float, grid_n: int = 600):
     there.  The window half-width is W_EXCL_DEFAULT, read at call time like
     ROOT_TOL.  Returns one ascending list of SpectrumPoint per point.
     """
-    from .spectrum import SpectrumPoint
-
     if not (e_min < e_max):
         raise ValueError(f"need e_min < e_max, got [{e_min}, {e_max}]")
     if grid_n < 100:

@@ -20,6 +20,7 @@ from typing import List, Optional
 import numpy as np
 
 from .model import RabiParams
+from . import heun
 from .analytic import exceptional_candidates, find_regular_spectrum, wronskian_grid
 from .exceptional import constraint_residual, find_crossings, scan_exceptional
 from . import oracle as oracle_mod
@@ -213,15 +214,14 @@ def cmd_sweep(args) -> int:
 def cmd_exceptional(args) -> int:
     p = _params(args)
     lo, hi, steps = args.range
-    kwargs = {"g_range": (lo, hi)} if args.axis == "g" else {"epsilon_range": (lo, hi)}
     pts = scan_exceptional(p, N_max=args.n_max, tol=args.tol, grid=max(steps, 200),
-                           **kwargs)
+                           **{f"{args.axis}_range": (lo, hi)})
     meta = _base_meta(args, "exceptional")
     meta.update({"axis": args.axis, "range": f"{lo}:{hi}:{steps}",
                  "N_max": args.n_max, "tol": args.tol})
     header = ["axis_value", "N", "branch", "E_over_omega", "residual"]
-    rows = [[pt.params.g if args.axis == "g" else pt.params.epsilon,
-             pt.N, pt.branch, pt.energy, pt.constraint_residual] for pt in pts]
+    rows = [[getattr(pt.params, args.axis), pt.N, pt.branch, pt.energy,
+             pt.constraint_residual] for pt in pts]
     _emit(args, meta, header, rows)
     return EXIT_OK
 
@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sp.add_parser("verify", help="run the acceptance suite")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--tol", type=float, default=verify_mod.TRUNC_ACCEPT_TOL)
+    s.add_argument("--tol", type=float, default=heun.TRUNC_TOL)
     s.add_argument("--only", default="", help="comma-separated criterion indices")
     s.add_argument("--format", choices=("csv", "json"), default="csv")
     s.add_argument("--out", default="-")

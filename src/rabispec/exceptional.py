@@ -12,15 +12,15 @@ eigenvalues leave no sign-change zero in the Wronskian.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .model import RabiParams
 from . import heun
-from .analytic import (FAMILY, MINUS, PLUS, candidate_energy, component_params,
-                       refine_brackets)
+from .analytic import (BRANCH_SIGN, FAMILY, MINUS, PLUS, candidate_energy,
+                       component_params, refine_brackets)
 from . import oracle as oracle_mod
 
 CROSSING_G_RANGE = (1e-3, 2.0)   # g interval that find_crossings scans
@@ -29,11 +29,15 @@ CROSSING_GRID = 400             # scan points in it
 
 @dataclass(frozen=True)
 class ExceptionalPoint:
+    """An exceptional eigenvalue; ``oracle_count`` is the number of converged
+    oracle eigenvalues within 1e-6 of it that ``scan_exceptional`` counted."""
+
     N: int
     branch: str                   # "plus" | "minus"
     energy: float
     constraint_residual: float
     params: RabiParams
+    oracle_count: Optional[int] = None    # None on a point built by hand
 
     @property
     def family(self) -> str:
@@ -94,7 +98,7 @@ def closed_form_relation(N: int, branch: str, p: RabiParams) -> float:
     g2 = p.g ** 2
     d2 = p.delta ** 2
     eps = p.epsilon
-    sign = {PLUS: 1.0, MINUS: -1.0}[branch]
+    sign = BRANCH_SIGN[branch]
     if N == 1:
         return d2 + 4.0 * g2 - 1.0 - sign * 2.0 * eps
     if N == 2:
@@ -111,24 +115,18 @@ def _senior_obstruction(N: int, branch: str, p: RabiParams) -> float:
     return heun.truncation_obstruction(component_params(FAMILY[branch], branch, E, p), N)
 
 
-def _locus_roots(N: int, branch: str, make, axis: np.ndarray) -> np.ndarray:
-    """Ascending roots of the (N, branch) truncation indicator along the sweep
-    axis, one ``refine_brackets`` call over the axis as a single segment."""
+def _locus_roots(N: int, branch: str, p: RabiParams, axis: str,
+                 values: np.ndarray) -> np.ndarray:
+    """Ascending roots of the (N, branch) truncation indicator as the
+    ``RabiParams`` field ``axis`` of ``p`` runs over ``values``, one
+    ``refine_brackets`` call over them as a single segment."""
     def f(v):
-        return _senior_obstruction(N, branch, make(v)), np.ones(v.shape, dtype=bool)
+        return (_senior_obstruction(N, branch, replace(p, **{axis: v})),
+                np.ones(v.shape, dtype=bool))
 
-    vals = f(axis)[0]
-    return refine_brackets(f, axis, vals, np.isfinite(vals), np.zeros(axis.size),
-                           1e-13)[0]
-
-
-def oracle_counts(points: List[ExceptionalPoint]) -> np.ndarray:
-    """Converged oracle eigenvalues within 1e-6 of each point's energy, all
-    points counted in one ``oracle.count_in`` batch."""
-    E = np.array([pt.energy for pt in points])
-    g, delta, eps = (np.array([getattr(pt.params, f) for pt in points])
-                     for f in ("g", "delta", "epsilon"))
-    return oracle_mod.count_in(g, delta, eps, E - 1e-6, E + 1e-6)
+    vals = f(values)[0]
+    return refine_brackets(f, values, vals, np.isfinite(vals),
+                           np.zeros(values.size), 1e-13)[0]
 
 
 def scan_exceptional(p_template: RabiParams,
@@ -137,13 +135,14 @@ def scan_exceptional(p_template: RabiParams,
                      N_max: int = 4, tol: float = heun.TRUNC_TOL,
                      grid: int = 400,
                      oracle_check: bool = True) -> List[ExceptionalPoint]:
-    """All exceptional points along a one-parameter sweep.
+    """All exceptional points along a sweep of g or epsilon, ordered by it.
 
     Evaluates the signed truncation indicator of each (N, branch) on the
-    whole sweep grid at once and refines all its sign changes together with
-    ``refine_brackets`` (Chandrupatla's method), then accepts a point only if
-    the full two-component residual passes and (optionally) the oracle counts
-    a converged eigenvalue within 1e-6 of it (one batch for all points).
+    whole sweep grid at once, refines all its sign changes together with
+    ``refine_brackets`` (Chandrupatla's method) and keeps the points whose
+    full two-component residual passes.  One ``oracle.count_in`` batch puts
+    the converged eigenvalues within 1e-6 of each point in its
+    ``oracle_count``; ``oracle_check`` drops the points that count none.
     """
     if (g_range is None) == (epsilon_range is None):
         raise ValueError("provide exactly one of g_range, epsilon_range")
@@ -152,30 +151,26 @@ def scan_exceptional(p_template: RabiParams,
     if N_max > 10:
         raise ValueError(f"N_max is capped at 10, got {N_max}")
 
-    if g_range is not None:
-        lo, hi = g_range
-        make = lambda v: RabiParams(g=v, delta=p_template.delta,
-                                    epsilon=p_template.epsilon)
-    else:
-        lo, hi = epsilon_range
-        make = lambda v: RabiParams(g=p_template.g, delta=p_template.delta,
-                                    epsilon=v)
-    axis = np.linspace(lo, hi, grid)
+    axis, (lo, hi) = ("g", g_range) if g_range is not None else ("epsilon", epsilon_range)
+    values = np.linspace(lo, hi, grid)
 
     found: List[ExceptionalPoint] = []
     for N in range(1, N_max + 1):
         for branch in (PLUS, MINUS):
-            for root in _locus_roots(N, branch, make, axis).tolist():
-                pr = make(root)
+            for root in _locus_roots(N, branch, p_template, axis, values).tolist():
+                pr = replace(p_template, **{axis: root})
                 res = constraint_residual(N, branch, pr, tol=tol)
                 if res <= tol:
                     found.append(ExceptionalPoint(
                         N=N, branch=branch, energy=candidate_energy(N, branch, pr),
                         constraint_residual=res, params=pr))
-    if oracle_check:
-        found = [pt for pt, c in zip(found, oracle_counts(found)) if c >= 1]
-    axis_of = (lambda pt: pt.params.g) if g_range is not None else (lambda pt: pt.params.epsilon)
-    found.sort(key=lambda pt: (axis_of(pt), pt.N, pt.branch))
+    E = np.array([pt.energy for pt in found])
+    counts = oracle_mod.count_in(*(np.array([getattr(pt.params, f) for pt in found])
+                                   for f in ("g", "delta", "epsilon")),
+                                 E - 1e-6, E + 1e-6)
+    found = [replace(pt, oracle_count=int(c)) for pt, c in zip(found, counts)
+             if c >= 1 or not oracle_check]
+    found.sort(key=lambda pt: (getattr(pt.params, axis), pt.N, pt.branch))
     return found
 
 
@@ -207,10 +202,10 @@ def find_crossings(delta: float, N1: int, N2: int) -> Optional[CrossingPoint]:
     g_lo, g_hi = CROSSING_G_RANGE
     tol = heun.TRUNC_TOL
     eps_star = 0.5 * (N2 - N1)
-    make = lambda g: RabiParams(g=g, delta=delta, epsilon=eps_star)
-    for root in _locus_roots(N1, PLUS, make,
+    p = RabiParams(g=g_lo, delta=delta, epsilon=eps_star)
+    for root in _locus_roots(N1, PLUS, p, "g",
                              np.linspace(g_lo, g_hi, CROSSING_GRID)).tolist():
-        pr = make(root)
+        pr = replace(p, g=root)
         if not (constraint_residual(N1, PLUS, pr, tol=tol) <= tol):
             continue
         if not (constraint_residual(N2, MINUS, pr, tol=tol) <= tol):
@@ -218,7 +213,7 @@ def find_crossings(delta: float, N1: int, N2: int) -> Optional[CrossingPoint]:
         return CrossingPoint(N1=N1, N2=N2, epsilon_star=eps_star,
                              g_star=float(root),
                              delta_relation=float(delta ** 2 + 4.0 * root ** 2),
-                             energy=float(N1 - root ** 2 + eps_star))
+                             energy=float(candidate_energy(N1, PLUS, pr)))
     if N1 == 1:
         # closed-form locus g^2 = (1 + 2 eps* - delta^2)/4 degenerates at g = 0
         g2 = (1.0 + 2.0 * eps_star - delta ** 2) / 4.0

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -34,6 +35,21 @@ class RabiParams:
             # scalars keep the cheap check: one spectrum builds dozens of these
             if not (np.isfinite(v).all() if isinstance(v, np.ndarray) else math.isfinite(v)):
                 raise ValueError(f"{name} must be finite")
+
+
+@dataclass(frozen=True)
+class SpectrumPoint:
+    """One energy level with provenance and residual metadata."""
+
+    energy: float
+    kind: str                           # "regular" | "exceptional"
+    residual: float = float("nan")      # |W_+| or truncation residual
+    oracle_delta: Optional[float] = None
+    degeneracy: int = 1
+    N: Optional[int] = None
+    branch: Optional[str] = None
+    provenance: str = "wronskian"       # "wronskian" | "truncation" |
+                                        # "oracle-assisted" | "oracle-only"
 
 
 @dataclass(frozen=True)

@@ -17,33 +17,17 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .model import RabiParams
+from .model import RabiParams, SpectrumPoint
 from . import heun
 from .analytic import (exceptional_candidates, find_regular_spectra,
                        find_regular_spectrum)
-from .exceptional import (ExceptionalPoint, constraint_residual, oracle_counts,
-                          scan_exceptional)
+from .exceptional import ExceptionalPoint, constraint_residual, scan_exceptional
 from . import oracle as oracle_mod
 
 GAP_TOL = 1e-4
 DEDUP_TOL = oracle_mod.DEGENERACY_TOL    # one consistent scale
 GROUP_AXIS_TOL = 1e-6     # coincident markers: axis value ...
 GROUP_ENERGY_TOL = 1e-7   # ... and energy
-
-
-@dataclass(frozen=True)
-class SpectrumPoint:
-    """One energy level with provenance and residual metadata."""
-
-    energy: float
-    kind: str                           # "regular" | "exceptional"
-    residual: float = float("nan")      # |W_+| or truncation residual
-    oracle_delta: Optional[float] = None
-    degeneracy: int = 1
-    N: Optional[int] = None
-    branch: Optional[str] = None
-    provenance: str = "wronskian"       # "wronskian" | "truncation" |
-                                        # "oracle-assisted" | "oracle-only"
 
 
 @dataclass
@@ -163,18 +147,15 @@ def sweep(p_template: RabiParams, axis: str, axis_range: Tuple[float, float],
     oracle-audited on its own.  Per-point failures of the analytic path or
     the oracle (ValueError, DivergentSeriesError, LinAlgError) are recorded
     in the metadata and the sweep continues; an inverted e_window or a
-    grid_n below 100 is rejected up front.
-    Markers found by the locus scan are grouped into degenerate coincidences
-    (same axis value and energy), all oracle-counted in one batch.
+    grid_n below 100 is rejected up front, by that search.
+    ``axis`` names the ``RabiParams`` field swept.  Markers found by the
+    locus scan are grouped into degenerate coincidences (same axis value and
+    energy), each counted on the oracle by the scan's one batch.
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     if axis not in ("g", "epsilon"):
         raise ValueError(f"axis must be 'g' or 'epsilon', got {axis!r}")
-    if not (e_window[0] < e_window[1]):
-        raise ValueError(f"invalid window [{e_window[0]}, {e_window[1]}]")
-    if grid_n < 100:
-        raise ValueError(f"grid_n must be >= 100, got {grid_n}")
     lo, hi = axis_range
     axis_values = np.linspace(lo, hi, steps)
     points = [replace(p_template, **{axis: float(v)}) for v in axis_values]
@@ -193,8 +174,8 @@ def sweep(p_template: RabiParams, axis: str, axis_range: Tuple[float, float],
             failures.append({"axis_value": float(v), "error": repr(exc)})
             levels.append([])
 
-    kwargs = {"g_range": (lo, hi)} if axis == "g" else {"epsilon_range": (lo, hi)}
-    markers = scan_exceptional(p_template, N_max=N_max, tol=tol, **kwargs)
+    markers = scan_exceptional(p_template, N_max=N_max, tol=tol,
+                               **{f"{axis}_range": (lo, hi)})
 
     marker_groups = _group_markers(markers, axis, e_window)
 
@@ -218,14 +199,16 @@ def sweep(p_template: RabiParams, axis: str, axis_range: Tuple[float, float],
 
 def _group_markers(markers: List[ExceptionalPoint], axis: str,
                    e_window: Tuple[float, float]) -> List[dict]:
-    """Coincident markers (same axis value within GROUP_AXIS_TOL, energy
-    within GROUP_ENERGY_TOL) form degenerate groups.
+    """Coincident markers (same value of the ``RabiParams`` field ``axis``
+    within GROUP_AXIS_TOL, energy within GROUP_ENERGY_TOL) form degenerate
+    groups.
 
-    A group's oracle_degeneracy counts the converged oracle eigenvalues
-    within 1e-6 of its energy, all groups in one ``oracle_counts`` batch.
+    A group's oracle_degeneracy is the ``oracle_count`` of its first member:
+    the converged oracle eigenvalues within 1e-6 of its energy, as the scan
+    counted them.
     """
     def axis_of(pt):
-        return pt.params.g if axis == "g" else pt.params.epsilon
+        return getattr(pt.params, axis)
 
     left = [m for m in markers if e_window[0] <= m.energy <= e_window[1]]
     groups = []
@@ -239,5 +222,5 @@ def _group_markers(markers: List[ExceptionalPoint], axis: str,
              "energy": group[0].energy,
              "members": [(q.N, q.branch) for q in group],
              "degeneracy": len(group),
-             "oracle_degeneracy": int(count)}
-            for group, count in zip(groups, oracle_counts([grp[0] for grp in groups]))]
+             "oracle_degeneracy": group[0].oracle_count}
+            for group in groups]

@@ -18,14 +18,12 @@ from . import heun
 from .analytic import (FAMILY, FIRST, MINUS, PLUS, SECOND, build_pair,
                        candidate_energy, component_params, eval_component,
                        find_regular_spectrum)
-from .exceptional import (closed_form_relation, constraint_residual,
-                          factorization_identity_check, find_crossings,
-                          scan_exceptional)
+from .exceptional import (ExceptionalPoint, closed_form_relation,
+                          constraint_residual, factorization_identity_check,
+                          find_crossings, pair_separation, scan_exceptional)
 from . import oracle as oracle_mod
 from .states import reconstruct_exceptional_state
 from .spectrum import sweep
-
-TRUNC_ACCEPT_TOL = 1e-10
 
 
 @dataclass
@@ -51,7 +49,7 @@ def _result(index, name, t0, ok, details, time_limit=None) -> CriterionResult:
     return CriterionResult(index, name, bool(ok), details, duration, time_limit)
 
 
-def criterion_1(tol: float = TRUNC_ACCEPT_TOL) -> CriterionResult:
+def criterion_1(tol: float = heun.TRUNC_TOL) -> CriterionResult:
     """Exceptional point at (g, delta, eps) = (0.2, 0.8, 0.1): E = 0.86."""
     t0 = time.perf_counter()
     p = RabiParams(g=0.2, delta=0.8, epsilon=0.1)
@@ -133,7 +131,6 @@ def criterion_4() -> CriterionResult:
 def criterion_5() -> CriterionResult:
     """Matched plus/minus candidate pairs with equal N separate by exactly 2 eps."""
     t0 = time.perf_counter()
-    from .exceptional import ExceptionalPoint, pair_separation
     worst = 0.0
     count = 0
     for eps in (0.05, 0.1, 0.2):
@@ -149,7 +146,7 @@ def criterion_5() -> CriterionResult:
                    f"{count} pairs, max|dE-2eps|={worst:.3e}")
 
 
-def criterion_6(tol: float = TRUNC_ACCEPT_TOL) -> CriterionResult:
+def criterion_6(tol: float = heun.TRUNC_TOL) -> CriterionResult:
     """Recurrence residual and closed-form relation agree over a (g, delta) grid."""
     t0 = time.perf_counter()
     eps = 0.1
@@ -210,13 +207,10 @@ def criterion_8() -> CriterionResult:
                 ok = False
             # for a two-fold degenerate pair the eigensolver basis is arbitrary
             # inside the plane; project instead of trusting a single vector
-            mates = [orc.eigenvectors[j].flatten() for j in range(len(orc.eigenvalues))
-                     if abs(orc.eigenvalues[j] - E) <= 1e-6]
+            proj = math.sqrt(sum(oracle_mod.eigenvector_overlap(state, m) ** 2
+                                 for e, m in zip(orc.eigenvalues, orc.eigenvectors)
+                                 if abs(e - E) <= 1e-6))
             v = state.flatten()
-            size = max([v.size] + [m.size for m in mates])
-            v_pad = np.pad(v, (0, size - v.size))
-            proj = math.sqrt(sum(float(np.dot(v_pad, np.pad(m, (0, size - m.size)))) ** 2
-                                 for m in mates))
             H = oracle_mod.build_hamiltonian(p, state.cutoff)
             hnorm = float(np.abs(np.linalg.eigvalsh(H)).max())
             resid = float(np.linalg.norm(H @ v - E * v)) / hnorm
@@ -382,7 +376,7 @@ def criterion_10() -> CriterionResult:
     return _result(10, "property-suites", t0, ok, "; ".join(parts))
 
 
-def run_all(seed: int = 0, tol: float = TRUNC_ACCEPT_TOL,
+def run_all(seed: int = 0, tol: float = heun.TRUNC_TOL,
             only: Optional[List[int]] = None) -> List[CriterionResult]:
     """Run the criteria in order; tol overrides the truncation-acceptance
     threshold where a criterion uses one, and only restricts to a subset of

@@ -217,9 +217,8 @@ def test_locus_roots_counts_exact_zero_at_last_sample(monkeypatch):
     # 0.5 is the last axis sample or an interior one
     from rabispec import exceptional
     monkeypatch.setattr(exceptional, "_senior_obstruction", lambda N, branch, p: p.g - 0.5)
-    make = lambda g: RabiParams(g=g, delta=0.8, epsilon=0.1)
     for hi in (0.5, 0.9):
-        roots = exceptional._locus_roots(1, PLUS, make, np.linspace(0.1, hi, 201))
+        roots = exceptional._locus_roots(1, PLUS, P_EXC, "g", np.linspace(0.1, hi, 201))
         assert roots.tolist() == [0.5]
 
 
@@ -247,3 +246,19 @@ def test_scan_acceptance_matches_dense_rule():
         assert located
         assert scan_exceptional(p, N_max=N_max, **kw) == [
             pt for pt in located if _dense_accepts(pt)], (p, kw, N_max)
+
+
+def test_scan_points_carry_their_oracle_count():
+    # the scan's one count_in batch gives each point the count it would get
+    # on its own, along g and along eps, with and without the check
+    for p, kw in ((RabiParams(g=0.1, delta=0.8, epsilon=0.15), {"g_range": (0.05, 1.2)}),
+                  (RabiParams(g=0.4, delta=0.8, epsilon=0.0), {"epsilon_range": (-0.8, 0.8)})):
+        for check in (True, False):
+            pts = scan_exceptional(p, N_max=3, oracle_check=check, **kw)
+            assert pts
+            for pt in pts:
+                q = pt.params
+                alone = oracle.count_in(q.g, q.delta, q.epsilon,
+                                        pt.energy - 1e-6, pt.energy + 1e-6)
+                assert pt.oracle_count == int(alone), (kw, pt)
+    assert ExceptionalPoint(1, PLUS, 0.86, 0.0, P_EXC).oracle_count is None

@@ -171,6 +171,7 @@ def test_marker_groups_count_only_converged(monkeypatch):
     groups = _group_markers(markers, "g", (-1.5, 1.5))
     assert [(grp["degeneracy"], grp["oracle_degeneracy"]) for grp in groups] == [(1, 1)]
     _cap_oracle(monkeypatch)
+    markers = scan_exceptional(P_EXC, g_range=(0.15, 0.25), N_max=1, oracle_check=False)
     groups = _group_markers(markers, "g", (-1.5, 1.5))
     assert [(grp["degeneracy"], grp["oracle_degeneracy"]) for grp in groups] == [(1, 0)]
 
@@ -189,3 +190,19 @@ def test_marker_group_counts_match_dense_rule():
             assert grp["oracle_degeneracy"] == int(near.sum()), (eps, grp)
         if eps == 0.0:
             assert all(grp["oracle_degeneracy"] == 2 for grp in res.marker_groups)
+
+
+def test_sweep_counts_on_the_oracle_once(monkeypatch):
+    # the scan counts every marker in one batch and the groups reuse it
+    calls = []
+    count_in = oracle.count_in
+
+    def counted(*args):
+        calls.append(args)
+        return count_in(*args)
+
+    monkeypatch.setattr(oracle, "count_in", counted)
+    res = sweep(replace(P_EXC, epsilon=0.0), "g", (0.05, 1.2), steps=2,
+                e_window=(-1.5, 3.0), N_max=2)
+    assert res.marker_groups
+    assert len(calls) == 1

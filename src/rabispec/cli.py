@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from typing import List, Optional
 
@@ -295,6 +296,13 @@ def _add_common(sub, *, energy_window=False, grid=None):
     sub.add_argument("--out", default="-", help="output path ('-' for stdout)")
 
 
+def _add_axis(sub, *, steps: int, n_max: int):
+    sub.add_argument("--axis", choices=("g", "epsilon"), default="g")
+    sub.add_argument("--range", type=_parse_range, default=(0.05, 1.2, steps),
+                     help="a:b:steps; a may be negative (--range -0.6:0.6:200)")
+    sub.add_argument("--n-max", type=int, default=n_max)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="rabispec",
@@ -313,17 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sp.add_parser("sweep", help="spectrum along a g or epsilon sweep")
     _add_common(s, energy_window=True, grid=300)
-    s.add_argument("--axis", choices=("g", "epsilon"), default="g")
-    s.add_argument("--range", type=_parse_range, default=(0.05, 1.2, 60),
-                   help="a:b:steps")
-    s.add_argument("--n-max", type=int, default=2)
+    _add_axis(s, steps=60, n_max=2)
     s.set_defaults(func=cmd_sweep)
 
     s = sp.add_parser("exceptional", help="exceptional points along a sweep")
     _add_common(s)
-    s.add_argument("--axis", choices=("g", "epsilon"), default="g")
-    s.add_argument("--range", type=_parse_range, default=(0.05, 1.2, 400))
-    s.add_argument("--n-max", type=int, default=4)
+    _add_axis(s, steps=400, n_max=4)
     s.set_defaults(func=cmd_exceptional)
 
     s = sp.add_parser("crossings", help="two-fold degeneracy of exceptional points")
@@ -351,8 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(1, len(argv))):    # argparse reads -0.6:... as an option
+        if argv[i - 1] == "--range" and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1:i + 1] = ["--range=" + argv[i]]
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except IOError as exc:

@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .model import RabiParams
+from .model import HeunParams, RabiParams
 from . import heun
 from .analytic import (BRANCH_SIGN, FAMILY, MINUS, PLUS, candidate_energy,
                        component_params, refine_brackets)
@@ -56,12 +56,6 @@ class CrossingPoint:
     boundary: bool = False        # g_star pinned at 0 (degenerate locus edge)
 
 
-def _component_sets(N: int, branch: str, E: float, p: RabiParams):
-    """(HeunParams, truncation index) for both components of the branch family."""
-    return [(component_params(FAMILY[branch], which, E, p),
-             N if which == branch else N - 1) for which in (PLUS, MINUS)]
-
-
 def constraint_residual(N: int, branch: str, p: RabiParams,
                         tol: float = heun.TRUNC_TOL) -> float:
     """Larger of the two normalized truncation residuals |h_{N_c+1}| / max|h_k|.
@@ -74,7 +68,9 @@ def constraint_residual(N: int, branch: str, p: RabiParams,
         raise ValueError(f"N must be >= 1, got {N}")
     E = candidate_energy(N, branch, p)
     worst = 0.0
-    for hp, n_c in _component_sets(N, branch, E, p):
+    for which in (PLUS, MINUS):    # the branch family's components truncate at N, N - 1
+        hp = component_params(FAMILY[branch], which, E, p)
+        n_c = N if which == branch else N - 1
         series = heun.build_series(hp, n_max=max(n_c + 4, 2), tol=tol)
         if series.status == heun.DIVERGENT:
             return math.inf
@@ -95,8 +91,8 @@ def constraint_residual(N: int, branch: str, p: RabiParams,
 
 def closed_form_relation(N: int, branch: str, p: RabiParams) -> float:
     """Residual of the explicit N = 1, 2 parameter relations (reduced units)."""
-    g2 = p.g ** 2
-    d2 = p.delta ** 2
+    g2 = p.g * p.g
+    d2 = p.delta * p.delta
     eps = p.epsilon
     sign = BRANCH_SIGN[branch]
     if N == 1:
@@ -107,26 +103,34 @@ def closed_form_relation(N: int, branch: str, p: RabiParams) -> float:
     raise ValueError(f"no closed-form relation for N = {N}; use constraint_residual")
 
 
-def _senior_obstruction(N: int, branch: str, p: RabiParams) -> float:
+def _senior_obstruction(N, plus, p: RabiParams):
     """Signed truncation indicator of the component with index N, smooth along
     parameter sweeps (finite across recurrence poles).  ``p`` may carry an
-    array of g or epsilon."""
-    E = candidate_energy(N, branch, p)
-    return heun.truncation_obstruction(component_params(FAMILY[branch], branch, E, p), N)
+    array of g or epsilon, N and the branch mask ``plus`` one entry per sample."""
+    E = N - p.g * p.g + np.where(plus, BRANCH_SIGN[PLUS], BRANCH_SIGN[MINUS]) * p.epsilon
+    hp, hm = (component_params(FAMILY[b], b, E, p) for b in (PLUS, MINUS))
+    return heun.truncation_obstruction(
+        HeunParams(**{k: np.where(plus, v, getattr(hm, k)) for k, v in vars(hp).items()}), N)
 
 
-def _locus_roots(N: int, branch: str, p: RabiParams, axis: str,
-                 values: np.ndarray) -> np.ndarray:
-    """Ascending roots of the (N, branch) truncation indicator as the
-    ``RabiParams`` field ``axis`` of ``p`` runs over ``values``, one
-    ``refine_brackets`` call over them as a single segment."""
-    def f(v):
-        return (_senior_obstruction(N, branch, replace(p, **{axis: v})),
+def _locus_roots(combos, p: RabiParams, axis: str, values: np.ndarray):
+    """Ascending roots of the truncation indicator of each (N, branch) in
+    ``combos`` as the ``RabiParams`` field ``axis`` of ``p`` runs over
+    ``values``, one array per pair: the axis is tiled once per pair, each copy
+    a segment of one ``refine_brackets`` call over len(combos) * values.size samples."""
+    n = values.size
+    N = np.repeat([N for N, _ in combos], n)
+    plus = np.repeat([branch == PLUS for _, branch in combos], n)
+
+    def f(v, N, plus):
+        return (_senior_obstruction(N, plus, replace(p, **{axis: v})),
                 np.ones(v.shape, dtype=bool))
 
-    vals = f(values)[0]
-    return refine_brackets(f, values, vals, np.isfinite(vals),
-                           np.zeros(values.size), 1e-13)[0]
+    x = np.tile(values, len(combos))
+    vals = f(x, N, plus)[0]
+    roots, _, at = refine_brackets(f, x, vals, np.isfinite(vals),
+                                   np.arange(x.size) // n, 1e-13, N, plus)
+    return np.split(roots, np.searchsorted(at, n * np.arange(1, len(combos))))
 
 
 def scan_exceptional(p_template: RabiParams,
@@ -137,12 +141,13 @@ def scan_exceptional(p_template: RabiParams,
                      oracle_check: bool = True) -> List[ExceptionalPoint]:
     """All exceptional points along a sweep of g or epsilon, ordered by it.
 
-    Evaluates the signed truncation indicator of each (N, branch) on the
-    whole sweep grid at once, refines all its sign changes together with
-    ``refine_brackets`` (Chandrupatla's method) and keeps the points whose
-    full two-component residual passes.  One ``oracle.count_in`` batch puts
-    the converged eigenvalues within 1e-6 of each point in its
-    ``oracle_count``; ``oracle_check`` drops the points that count none.
+    Evaluates the signed truncation indicators of every (N, branch) with
+    N = 1..N_max on the sweep grid in one array of 2 N_max grid samples,
+    refines all their sign changes in one ``refine_brackets`` call
+    (Chandrupatla's method) and keeps the points whose full two-component
+    residual passes.  One ``oracle.count_in`` batch puts the converged
+    eigenvalues within 1e-6 of each point in its ``oracle_count``;
+    ``oracle_check`` drops the points that count none.
     """
     if (g_range is None) == (epsilon_range is None):
         raise ValueError("provide exactly one of g_range, epsilon_range")
@@ -154,16 +159,16 @@ def scan_exceptional(p_template: RabiParams,
     axis, (lo, hi) = ("g", g_range) if g_range is not None else ("epsilon", epsilon_range)
     values = np.linspace(lo, hi, grid)
 
+    combos = [(N, branch) for N in range(1, N_max + 1) for branch in (PLUS, MINUS)]
     found: List[ExceptionalPoint] = []
-    for N in range(1, N_max + 1):
-        for branch in (PLUS, MINUS):
-            for root in _locus_roots(N, branch, p_template, axis, values).tolist():
-                pr = replace(p_template, **{axis: root})
-                res = constraint_residual(N, branch, pr, tol=tol)
-                if res <= tol:
-                    found.append(ExceptionalPoint(
-                        N=N, branch=branch, energy=candidate_energy(N, branch, pr),
-                        constraint_residual=res, params=pr))
+    for (N, branch), roots in zip(combos, _locus_roots(combos, p_template, axis, values)):
+        for root in roots.tolist():
+            pr = replace(p_template, **{axis: root})
+            res = constraint_residual(N, branch, pr, tol=tol)
+            if res <= tol:
+                found.append(ExceptionalPoint(
+                    N=N, branch=branch, energy=candidate_energy(N, branch, pr),
+                    constraint_residual=res, params=pr))
     E = np.array([pt.energy for pt in found])
     counts = oracle_mod.count_in(*(np.array([getattr(pt.params, f) for pt in found])
                                    for f in ("g", "delta", "epsilon")),
@@ -189,9 +194,9 @@ def find_crossings(delta: float, N1: int, N2: int) -> Optional[CrossingPoint]:
     """Two-fold degeneracy where the (N1, plus) and (N2, minus) exceptional
     points coincide; possible only at eps = (N2 - N1)/2.
 
-    Finds the roots in g of the plus-branch constraint at that eps with the
-    same array scan and ``refine_brackets`` refinement as ``scan_exceptional``
-    and accepts the lowest root where the minus-branch residual also vanishes.
+    Finds the roots in g of the (N1, plus) constraint at that eps with the
+    batch scan of ``scan_exceptional`` given this one pair, and accepts the
+    lowest root where the minus-branch residual also vanishes.
     The scan covers CROSSING_GRID points of CROSSING_G_RANGE, and both
     residuals must be at most heun.TRUNC_TOL, read at call time.  Returns None
     when no such g exists in range; a degenerate locus pinned at g = 0 is
@@ -203,8 +208,8 @@ def find_crossings(delta: float, N1: int, N2: int) -> Optional[CrossingPoint]:
     tol = heun.TRUNC_TOL
     eps_star = 0.5 * (N2 - N1)
     p = RabiParams(g=g_lo, delta=delta, epsilon=eps_star)
-    for root in _locus_roots(N1, PLUS, p, "g",
-                             np.linspace(g_lo, g_hi, CROSSING_GRID)).tolist():
+    for root in _locus_roots([(N1, PLUS)], p, "g",
+                             np.linspace(g_lo, g_hi, CROSSING_GRID))[0].tolist():
         pr = replace(p, g=root)
         if not (constraint_residual(N1, PLUS, pr, tol=tol) <= tol):
             continue

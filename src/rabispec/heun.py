@@ -305,7 +305,7 @@ def sum_stack(hp: HeunParams):
     return S, Dx, done & ~hit_pole & np.isfinite(S) & np.isfinite(Dx)
 
 
-def truncation_obstruction(hp: HeunParams, N: int) -> float:
+def truncation_obstruction(hp: HeunParams, N) -> float:
     """Signed, division-free truncation indicator for root bracketing.
 
     Equals h_{N+1} times the (fixed-sign) product of the A(k); computed by the
@@ -313,16 +313,18 @@ def truncation_obstruction(hp: HeunParams, N: int) -> float:
     finite and smooth across recurrence poles, where h_{N+1} itself is
     undefined.  Normalized to a bounded magnitude; zeros and sign changes are
     those of the truncation condition h_{N+1} = 0.  The parameters may be
-    numpy arrays (one sweep axis); each element is computed as alone.
+    numpy arrays, and N an integer array broadcasting against them: element i
+    runs N_i + 1 recurrence steps and is then held fixed, so each element is
+    bit for bit what a call for it alone gives.
     """
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
+    if np.any(N < 0):
+        raise ValueError(f"N must be >= 0, got {np.min(N)}")
     A, B, C = recurrence_abc(hp)
     p_prev = 1.0
     p = B(1)
-    for k in range(2, N + 2):
-        p_prev, p = p, B(k) * p + C(k) * A(k - 1) * p_prev
-        norm = np.maximum(1.0, np.maximum(abs(p), abs(p_prev)))
-        p /= norm
-        p_prev /= norm
+    for k in range(2, int(np.max(N, initial=0)) + 2):
+        q_prev, q = p, B(k) * p + C(k) * A(k - 1) * p_prev
+        norm = np.maximum(1.0, np.maximum(abs(q), abs(q_prev)))
+        live = k <= N + 1
+        p, p_prev = np.where(live, q / norm, p), np.where(live, q_prev / norm, p_prev)
     return p / np.maximum(1.0, abs(p))

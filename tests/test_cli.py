@@ -133,6 +133,27 @@ def test_exceptional_command(tmp_path):
     assert abs(float(rows[1].split(",")[0]) - 0.3741657386773941) < 1e-9 and ",1,plus," in rows[1]
 
 
+def test_exceptional_n_max_0_prints_header_only(tmp_path):
+    code, text = run(tmp_path, "exceptional", "--delta", "0.8", "--epsilon", "0.1",
+                     "--n-max", "0")
+    assert code == 0
+    assert "axis_value,N,branch,E_over_omega,residual" in text.splitlines()
+    assert [ln for ln in text.splitlines()
+            if ln and not ln.startswith(("#", "axis_value"))] == []
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("exceptional", ["--g", "0.4", "--delta", "0.6", "--n-max", "2"]),
+    ("sweep", ["--g", "0.4", "--n-max", "1", "--e-min", "-1.5", "--e-max", "2"]),
+])
+def test_range_may_start_below_zero(tmp_path, command, extra):
+    # "--range -0.6:..." is a value, not an option, and reads as "--range=-0.6:..."
+    joined = run(tmp_path, command, "--axis", "epsilon", "--range=-0.6:0.6:5", *extra)
+    spaced = run(tmp_path, command, "--axis", "epsilon", "--range", "-0.6:0.6:5", *extra)
+    assert joined[0] == 0 and spaced == joined
+    assert "# range: -0.6:0.6:5" in spaced[1].splitlines()
+
+
 def test_tol_reaches_the_locus_scan(tmp_path):
     # no truncation residual is below 1e-30, so no point is accepted
     code, text = run(tmp_path, "exceptional", "--g", "0.1", "--delta", "0.8",

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rabispec.analytic import MINUS, PLUS
+from rabispec.analytic import MINUS, PLUS, refine_brackets
 from rabispec.exceptional import (ExceptionalPoint, candidate_energy,
                                   closed_form_relation, constraint_residual,
                                   factorization_identity_check, find_crossings,
@@ -218,8 +218,54 @@ def test_locus_roots_counts_exact_zero_at_last_sample(monkeypatch):
     from rabispec import exceptional
     monkeypatch.setattr(exceptional, "_senior_obstruction", lambda N, branch, p: p.g - 0.5)
     for hi in (0.5, 0.9):
-        roots = exceptional._locus_roots(1, PLUS, P_EXC, "g", np.linspace(0.1, hi, 201))
+        roots = exceptional._locus_roots([(1, PLUS)], P_EXC, "g", np.linspace(0.1, hi, 201))[0]
         assert roots.tolist() == [0.5]
+
+
+@pytest.mark.parametrize("p, axis, values", [
+    (RabiParams(g=0.1, delta=0.8, epsilon=0.0), "g", np.linspace(0.05, 1.5, 400)),
+    (RabiParams(g=0.1, delta=0.3, epsilon=0.5), "g", np.linspace(0.05, 1.5, 400)),
+    (RabiParams(g=0.1, delta=0.6, epsilon=0.15), "g", np.linspace(0.05, 1.5, 400)),
+    (RabiParams(g=0.4, delta=0.6, epsilon=0.0), "epsilon", np.linspace(-0.5, 0.5, 201)),
+    (RabiParams(g=0.7, delta=0.45, epsilon=0.5), "epsilon", np.linspace(-0.9, 0.9, 400)),
+])
+def test_locus_roots_batch_matches_one_call_per_pair(p, axis, values):
+    # every (N, branch) pair refined in one batch gives, bit for bit, the
+    # roots it gets alone, across the eps = 0 and eps = 1/2 recurrence poles
+    from rabispec import exceptional
+    combos = [(N, branch) for N in range(1, 6) for branch in (PLUS, MINUS)]
+    batch = exceptional._locus_roots(combos, p, axis, values)
+    assert len(batch) == len(combos)
+    assert sum(r.size for r in batch) > 0
+    for combo, roots in zip(combos, batch):
+        alone = exceptional._locus_roots([combo], p, axis, values)
+        assert len(alone) == 1 and roots.tobytes() == alone[0].tobytes(), combo
+        assert np.all(np.diff(roots) > 0)
+
+
+def test_one_root_refinement_per_scan(monkeypatch):
+    # a scan refines all its (N, branch) pairs together, and find_crossings
+    # its one pair, in a single refine_brackets call each
+    from rabispec import exceptional
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1].size)
+        return refine_brackets(*args)
+
+    monkeypatch.setattr(exceptional, "refine_brackets", counted)
+    pts = scan_exceptional(RabiParams(g=0.1, delta=0.8, epsilon=0.15),
+                           g_range=(0.05, 1.2), N_max=4, grid=400)
+    assert pts and calls == [2 * 4 * 400]
+    calls.clear()
+    assert find_crossings(0.8, 1, 2) is not None
+    assert calls == [exceptional.CROSSING_GRID]
+
+
+def test_scan_below_n1_is_empty():
+    # no index N >= 1 to scan: no point, along either axis
+    assert scan_exceptional(P_EXC, g_range=(0.05, 1.2), N_max=0) == []
+    assert scan_exceptional(P_EXC, epsilon_range=(-0.5, 0.5), N_max=-1) == []
 
 
 def _dense_accepts(pt):

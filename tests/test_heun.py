@@ -240,16 +240,33 @@ def test_obstruction_on_an_array_matches_scalar_calls(axis, values):
     from rabispec.analytic import FIRST, MINUS, PLUS, SECOND, component_params
     from rabispec.exceptional import candidate_energy
 
-    def obstruction(N, branch, v):
+    def params(N, branch, v):
         p = RabiParams(**{"g": 0.7, "delta": 0.45, "epsilon": 0.2, axis: v})
         E = candidate_energy(N, branch, p)
-        hp = (component_params(FIRST, PLUS, E, p) if branch == PLUS
-              else component_params(SECOND, MINUS, E, p))
-        return truncation_obstruction(hp, N)
+        return (component_params(FIRST, PLUS, E, p) if branch == PLUS
+                else component_params(SECOND, MINUS, E, p))
 
     for N in range(1, 6):
         for branch in ("plus", "minus"):
-            got = obstruction(N, branch, values)
-            want = np.array([obstruction(N, branch, float(v)) for v in values])
+            got = truncation_obstruction(params(N, branch, values), N)
+            want = np.array([truncation_obstruction(params(N, branch, float(v)), N)
+                             for v in values])
             assert got.shape == values.shape
             assert got.tobytes() == want.tobytes()
+
+    # one stack whose elements each have their own N = 0..5 and branch
+    Ns = np.arange(values.size) % 6
+    branches = np.where(np.arange(values.size) % 4 < 2, PLUS, MINUS)
+    hps = [params(int(N), b, float(v)) for N, b, v in zip(Ns, branches, values)]
+    stack = HeunParams(**{k: np.array([getattr(hp, k) for hp in hps])
+                          for k in ("alpha", "beta", "gamma", "delta", "eta")})
+    want = np.array([truncation_obstruction(hp, int(N)) for hp, N in zip(hps, Ns)])
+    assert truncation_obstruction(stack, Ns).tobytes() == want.tobytes()
+
+
+def test_obstruction_rejects_negative_array_N():
+    hp = HeunParams(alpha=0.16, beta=-1.3, gamma=-0.9, delta=0.1, eta=0.4)
+    with pytest.raises(ValueError, match="N must be >= 0"):
+        truncation_obstruction(hp, np.array([2, -1, 0]))
+    with pytest.raises(ValueError, match="N must be >= 0"):
+        truncation_obstruction(hp, -1)

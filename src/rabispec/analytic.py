@@ -10,17 +10,21 @@ At an energy eigenvalue the families are linearly dependent, so the Wronskians
     W_+(E, z) = psi_+^2 d(psi_+^1)/dz - psi_+^1 d(psi_+^2)/dz
     W_-(E, z) = psi_-^2 d(psi_-^1)/dz - psi_-^1 d(psi_-^2)/dz
 
-vanish; the regular spectrum is found as sign-change zeros of W_+ in E at
-z = 0, with exclusion windows around the candidate energies N - g^2 +- eps
-where the series recurrence has poles (exceptional-point territory).
+vanish.  The coupled first-order system gives W_+ = Delta K/(z + g) and
+W_- = -Delta K/(z - g) with one cross-family combination K, so at z = 0 the
+two are one function and only W_+ is computed.  The regular spectrum is
+found as sign-change zeros of W_+ in E at z = 0, with exclusion windows
+around the candidate energies N - g^2 +- eps where the series recurrence has
+poles (exceptional-point territory).
 
 ``refine_brackets`` is the one root scan: it takes the exact zeros and
 refines the sign changes of f on a sample grid cut into segments where f is
 continuous; the regular levels and the exceptional loci both come from it.
-``wronskian_grid`` stacks the four series of a whole array of energies, with
-parameters from the ``model`` maps, and ``heun.sum_stack`` sums them in one
-recurrence; g, delta and eps may be arrays, one entry per energy, since at
-z = 0 every parameter point puts its series at x = 1/2.
+``wronskian_grid`` stacks the two series psi_+^1 and psi_+^2 of a whole
+array of energies, with parameters from the ``model`` maps, and
+``heun.sum_stack`` sums them in one recurrence; g, delta and eps may be
+arrays, one entry per energy, since at z = 0 every parameter point puts its
+series at x = 1/2.
 ``find_regular_spectra`` therefore searches many points (a sweep) as one
 batch: their sign grids share one ``wronskian_grid`` call and one
 ``refine_brackets`` call, which makes one ``wronskian_grid`` call per step.
@@ -149,18 +153,20 @@ def exceptional_candidates(p: RabiParams, e_min: float, e_max: float):
 
 
 def wronskian_grid(E: np.ndarray, p: RabiParams):
-    """Vectorized W_+(E, 0) and W_-(E, 0) over an array of energies.
+    """Vectorized W_+(E, 0) over an array of energies.
 
-    The parameters of the four series psi_+^1, psi_+^2, psi_-^1, psi_-^2
-    are stacked into (4, ...) rows, ``heun.sum_stack`` sums them all at
-    x = 1/2, and the rows are combined into W_+ and W_-.  At z = 0 both
-    coordinates (g -+ z)/(2g) equal 1/2 and the prefactors exp(-+g z) equal
-    1, whatever the parameters, so the fields g, delta and epsilon of ``p``
-    may be arrays that broadcast against E and energies of different
-    parameter points share one stack.  Returns (w_plus, w_minus, reliable);
-    an element is unreliable when one of its four sums is not (see
-    ``sum_stack``) or a scale denominator is (nearly) singular.  No element
-    depends on the other elements of the batch.
+    The parameters of the two series psi_+^1 and psi_+^2 are stacked into
+    (2, ...) rows, ``heun.sum_stack`` sums both at x = 1/2, and the rows are
+    combined into W_+.  At z = 0 both coordinates (g -+ z)/(2g) equal 1/2 and
+    the prefactors exp(-+g z) equal 1, whatever the parameters, so the fields
+    g, delta and epsilon of ``p`` may be arrays that broadcast against E and
+    energies of different parameter points share one stack.  Returns
+    (w_plus, w_minus, reliable) with w_minus the same array as w_plus, since
+    W_- = W_+ at z = 0; the slot stays so that callers keep reading
+    ``reliable`` at index 2.  An element is unreliable when one of its two
+    sums is not (see ``sum_stack``) or the psi_+^2 scale denominator is
+    (nearly) singular.  No element depends on the other elements of the
+    batch.
     """
     # count_nonzero: np.any costs a few microseconds more on a scalar p, and
     # a refinement step calls this kernel for a handful of energies
@@ -168,31 +174,23 @@ def wronskian_grid(E: np.ndarray, p: RabiParams):
         raise ValueError("g = 0 is not supported by the analytic path")
     E = np.asarray(E, dtype=float)
     g = p.g
-    # rows psi_+^1, psi_+^2, psi_-^1, psi_-^2: each first-family map once and
-    # its second family from it, broadcast to E's shape in one call
-    p1, m1 = heun_params_set1_plus(E, p), heun_params_set1_minus(E, p)
-    rows = [(PLUS, FIRST, p1), (PLUS, SECOND, heun_params_set2(p1)),
-            (MINUS, FIRST, m1), (MINUS, SECOND, heun_params_set2(m1))]
+    # rows psi_+^1 (family FAMILY[PLUS], scale 1) and psi_+^2 (the other
+    # family, mapped from the first), broadcast to E's shape in one call
+    p1 = heun_params_set1_plus(E, p)
+    rows = (p1, heun_params_set2(p1))
     cols = np.broadcast_arrays(E, *(getattr(hp, f.name) for f in fields(HeunParams)
-                                    for _, _, hp in rows))[1:]
-    S, Dx, ok = heun.sum_stack(HeunParams(*(np.stack(cols[i:i + 4])
-                                            for i in range(0, len(cols), 4))))
-    reliable = np.all(ok, axis=0)
-
-    vd = []
-    with np.errstate(all="ignore"):   # singular scale denominators are unreliable
-        for r, (which, family, _) in enumerate(rows):
-            s = SIGN[family]
-            scale = 1.0
-            if FAMILY[which] != family:
-                den = scale_denominator(family, E, p)
-                reliable &= np.abs(den) > 1e-12
-                scale = p.delta / den
-            vd.append((scale * S[r], scale * (s * g * S[r] + s / (2.0 * g) * Dx[r])))
-        (vp1, dp1), (vp2, dp2), (vm1, dm1), (vm2, dm2) = vd
+                                    for hp in rows))[1:]
+    S, Dx, ok = heun.sum_stack(HeunParams(*(np.stack(cols[i:i + 2])
+                                            for i in range(0, len(cols), 2))))
+    s1, s2 = SIGN[FIRST], SIGN[SECOND]
+    with np.errstate(all="ignore"):   # a singular scale denominator is unreliable
+        den = scale_denominator(SECOND, E, p)
+        scale = p.delta / den
+        # d/dz at z = 0 of exp(s g z) h((g + s z)/(2g)) is s g h + s/(2g) h'
+        vp1, dp1 = S[0], s1 * g * S[0] + s1 / (2.0 * g) * Dx[0]
+        vp2, dp2 = scale * S[1], scale * (s2 * g * S[1] + s2 / (2.0 * g) * Dx[1])
         w_plus = vp2 * dp1 - vp1 * dp2
-        w_minus = vm2 * dm1 - vm1 * dm2
-    return w_plus, w_minus, reliable
+    return w_plus, w_plus, ok[0] & ok[1] & (np.abs(den) > 1e-12)
 
 
 def refine_brackets(f, x, fx, ok, segment, tol, *per_sample):

@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "exceptional points, crossings, and a diagonalization oracle.")
     sp = ap.add_subparsers(dest="command", required=True)
 
-    s = sp.add_parser("wronskian-scan", help="W+ and W- over an energy grid")
+    s = sp.add_parser("wronskian-scan", help="W+ over an energy grid (= W- at z = 0)")
     _add_common(s, energy_window=True, grid=601)
     s.set_defaults(func=cmd_wronskian_scan)
 

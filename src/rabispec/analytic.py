@@ -28,6 +28,8 @@ series at x = 1/2.
 ``find_regular_spectra`` therefore searches many points (a sweep) as one
 batch: their sign grids share one ``wronskian_grid`` call and one
 ``refine_brackets`` call, which makes one ``wronskian_grid`` call per step.
+A kernel call costs about the same for 10 energies as for 100, so each step
+samples every open bracket at a ladder of points around its root estimate.
 ``find_regular_spectrum`` is the one-point case.  ``build_pair`` and
 ``eval_component`` build one family's series on their own and evaluate them
 at any z, away from z = 0 too.
@@ -193,25 +195,107 @@ def wronskian_grid(E: np.ndarray, p: RabiParams):
     return w_plus, w_plus, ok[0] & ok[1] & (np.abs(den) > 1e-12)
 
 
-def refine_brackets(f, x, fx, ok, segment, tol, *per_sample):
+# the ladder samples a bracket at its root estimate, at the estimate +-
+# RUNGS * tol (the innermost inside tol/2, so two rungs can close it) and at
+# the SPREAD fractions of it; a rung off the bracket moves to the fraction
+# FILL[column] of it, none of which is a SPREAD fraction
+RUNGS = np.outer([-1.0, 1.0], 0.4 * 10.0 ** np.arange(8)).ravel()
+SPREAD = np.array([0.25, 0.5, 0.75])
+FILL = np.arange(1, RUNGS.size + SPREAD.size + 2) / (RUNGS.size + SPREAD.size + 2)
+
+
+def _chandrupatla_points(x1, f1, x2, f2, hist, tol, tol_x, width):
+    """One point per bracket: the midpoint, then Chandrupatla's choice."""
+    if hist is None:
+        t = np.full(x1.size, 0.5)
+    else:
+        x3, f3 = hist
+        with np.errstate(all="ignore"):
+            xi = (x1 - x2) / (x3 - x2)
+            phi = (f1 - f2) / (f3 - f2)
+            iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+            t = np.where(iqi, f1 / (f2 - f1) * f3 / (f2 - f3)
+                         + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2), 0.5)
+            tl = 0.5 * tol_x / width
+        t = np.clip(t, tl, 1.0 - tl)
+    return (x1 + t * (x2 - x1))[:, None]
+
+
+def _chandrupatla_update(x1, f1, x2, f2, xs, fs):
+    """The point replaces the end of its own sign; the dropped end is x3."""
+    xt, ft = xs[:, 0], fs[:, 0]
+    same = np.sign(ft) == np.sign(f1)
+    x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+    x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+    return xt, ft, x2, f2, (x3, f3)
+
+
+def _ladder_points(x1, f1, x2, f2, hist, tol, tol_x, width):
+    """The ladder of each bracket around its root estimate: the inverse
+    cubic through the four samples of ``hist``, else the secant root, else
+    the midpoint, whichever is first strictly inside the bracket."""
+    lo, hi = np.minimum(x1, x2)[:, None], np.maximum(x1, x2)[:, None]
+    with np.errstate(all="ignore"):
+        est = (x1 - f1 * (x2 - x1) / (f2 - f1))[:, None]
+        if hist is not None:
+            # Lagrange form at f = 0: x = sum_i X_i prod_{m != i} F_m / (F_m - F_i)
+            X, F = hist
+            ratio = np.where(np.eye(4, dtype=bool), 1.0,
+                             F[:, None, :] / (F[:, None, :] - F[:, :, None]))
+            cubic = (X * ratio.prod(axis=2)).sum(axis=1, keepdims=True)
+            est = np.where((lo < cubic) & (cubic < hi), cubic, est)
+    est = np.where((lo < est) & (est < hi), est, 0.5 * (lo + hi))
+    xs = np.concatenate([est, est + tol * RUNGS, lo + (hi - lo) * SPREAD], axis=1)
+    return np.where((lo < xs) & (xs < hi), xs, lo + (hi - lo) * FILL)
+
+
+def _ladder_update(x1, f1, x2, f2, xs, fs):
+    """The bracket shrinks to the first sign change among its sorted samples;
+    the four samples around it are kept for the next estimate."""
+    X = np.concatenate([x1[:, None], x2[:, None], xs], axis=1)
+    F = np.concatenate([f1[:, None], f2[:, None], fs], axis=1)
+    r = np.arange(X.shape[0])
+    order = np.argsort(X, axis=1)
+    X, F = X[r[:, None], order], F[r[:, None], order]
+    s = np.sign(F)
+    j = np.argmax(s[:, :-1] != s[:, 1:], axis=1)
+    w = np.clip(j - 1, 0, X.shape[1] - 4)[:, None] + np.arange(4)
+    return (X[r, j], F[r, j], X[r, j + 1], F[r, j + 1],
+            (X[r[:, None], w], F[r[:, None], w]))
+
+
+def refine_brackets(f, x, fx, ok, segment, tol, *per_sample, ladder=False):
     """Every root of f on a segmented sample grid, refined all at once.
 
     ``fx`` holds f at the samples ``x``, ``ok`` marks the usable samples and
     ``segment`` ids the runs of samples over which f is continuous.  A root
     is an ``ok`` sample where f is exactly 0, or a sign change between two
-    ``ok`` neighbours of one segment, refined by Chandrupatla's method (Adv.
-    Eng. Softw. 28 (1997) 145): each step tries inverse quadratic
-    interpolation through the two bracket ends and the end dropped last, and
-    bisects where Chandrupatla's test finds that unsafe.  Every new point
-    lies at least tol/2 inside the bracket, so the bracket shrinks on every
-    step.  ``f`` maps an array of points to (values, reliable) and is called
-    once per step, for the brackets still open; trailing ``per_sample``
-    arrays are cut to the left ends of the open brackets and passed to ``f``
-    after the points.  A bracket closes once it is no wider than tol (plus a
-    few ulps of its ends) or f vanishes at an end, and reports the end of
-    smaller |f|; a bracket whose new point is unreliable is dropped.
-    Returns (roots, |f(roots)|, sample index of each root: a bracket's left
-    end), ascending in the index.
+    ``ok`` neighbours of one segment, refined in steps that make one call
+    of ``f`` each, for the brackets still open.  Two step policies share
+    everything but the choice of points:
+
+    * by default, Chandrupatla's method (Adv. Eng. Softw. 28 (1997) 145)
+      samples one point per bracket: inverse quadratic interpolation
+      through the two bracket ends and the end dropped last, or bisection
+      where Chandrupatla's test finds that unsafe.  Every new point lies at
+      least tol/2 inside the bracket, so the bracket shrinks on every step.
+    * ``ladder=True`` samples each bracket at an estimate of its root (the
+      secant root first, then inverse cubic interpolation through the four
+      samples around the last sign change), at the estimate +- 0.4 tol
+      10^k for k = 0..7 and at 1/4, 1/2 and 3/4 of the bracket, and shrinks
+      it to the first sign change among them.  An estimate within 0.4 tol
+      of the root closes the bracket, so a root takes two or three steps
+      instead of five or more.  This pays where a call of ``f`` costs about
+      the same for 20 points per bracket as for one, as ``wronskian_grid``
+      does.
+
+    ``f`` maps an array of points to (values, reliable); trailing
+    ``per_sample`` arrays are cut to the left ends of the brackets, repeated
+    once per point, and passed to ``f`` after the points.  A bracket closes
+    once it is no wider than tol (plus a few ulps of its ends) or f vanishes
+    at an end, and reports the end of smaller |f|; a bracket with an
+    unreliable new point is dropped.  Returns (roots, |f(roots)|, sample
+    index of each root: a bracket's left end), ascending in the index.
     """
     x, fx = np.asarray(x, dtype=float), np.asarray(fx, dtype=float)
     ok, segment = np.asarray(ok, dtype=bool), np.asarray(segment)
@@ -224,16 +308,17 @@ def refine_brackets(f, x, fx, ok, segment, tol, *per_sample):
     root, resid = np.empty(left.size), np.empty(left.size)
     found = np.zeros(left.size, dtype=bool)
     idx = np.arange(left.size)
-    t = np.full(left.size, 0.5)
+    points, update = ((_ladder_points, _ladder_update) if ladder
+                      else (_chandrupatla_points, _chandrupatla_update))
+    xs = points(x1, f1, x2, f2, None, tol, None, None)
     while idx.size:
-        xt = x1 + t * (x2 - x1)
-        ft, rel = f(xt, *per_bracket)
-        rel = rel & np.isfinite(ft)
-        # xt replaces the end of its own sign; the dropped end becomes x3
-        same = np.sign(ft) == np.sign(f1)
-        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
-        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
-        x1, f1 = xt, ft
+        k = xs.shape[1]     # points per bracket
+        fs, rel = f(xs.ravel(), *(per_bracket if k == 1 else
+                                  [np.repeat(a, k) for a in per_bracket]))
+        rel = rel & np.isfinite(fs)
+        if k > 1:           # one unreliable point drops its bracket
+            rel = rel.reshape(xs.shape).all(axis=1)
+        x1, f1, x2, f2, hist = update(x1, f1, x2, f2, xs, fs.reshape(xs.shape))
         near = np.abs(f1) < np.abs(f2)
         xm, fm = np.where(near, x1, x2), np.where(near, f1, f2)
         width = np.abs(x2 - x1)
@@ -242,16 +327,9 @@ def refine_brackets(f, x, fx, ok, segment, tol, *per_sample):
         root[idx[stop]] = xm[stop]
         resid[idx[stop]] = np.abs(fm[stop])
         found[idx[stop]] = True
-        with np.errstate(all="ignore"):
-            xi = (x1 - x2) / (x3 - x2)
-            phi = (f1 - f2) / (f3 - f2)
-            iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
-            t = np.where(iqi, f1 / (f2 - f1) * f3 / (f2 - f3)
-                         + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2), 0.5)
-            tl = 0.5 * tol_x / width
-        t = np.clip(t, tl, 1.0 - tl)
         go = rel & ~stop
-        idx, x1, x2, f1, f2, t = (a[go] for a in (idx, x1, x2, f1, f2, t))
+        xs = points(x1, f1, x2, f2, hist, tol, tol_x, width)[go]
+        idx, x1, f1, x2, f2 = (a[go] for a in (idx, x1, f1, x2, f2))
         per_bracket = [a[go] for a in per_bracket]
     at = np.concatenate([zero, left[found]])
     order = np.argsort(at)
@@ -271,9 +349,11 @@ def find_regular_spectra(points, e_min: float, e_max: float, grid_n: int = 600):
     point between two of its candidate energies, so no bracket spans a
     skipped sample, a candidate energy or two points.  ``refine_brackets``
     finds the roots of all points together, refined to a width of ROOT_TOL
-    with one ``wronskian_grid`` call per step; a root's residual is |W_+|
-    there.  The window half-width is W_EXCL_DEFAULT, read at call time like
-    ROOT_TOL.  Returns one ascending list of SpectrumPoint per point.
+    in ladder steps: one ``wronskian_grid`` call per step samples every
+    open bracket about 20 times around its root estimate, and most roots
+    close after two steps.  A root's residual is |W_+| there.  The window
+    half-width is W_EXCL_DEFAULT, read at call time like ROOT_TOL.  Returns
+    one ascending list of SpectrumPoint per point.
     """
     if not (e_min < e_max):
         raise ValueError(f"need e_min < e_max, got [{e_min}, {e_max}]")
@@ -314,7 +394,8 @@ def find_regular_spectra(points, e_min: float, e_max: float, grid_n: int = 600):
     # W_+ is continuous between two candidate energies of one point, so a
     # segment is a point and the number of its candidates below the sample
     segment = owner * (excl.shape[1] + 1) + np.count_nonzero(dist > 0.0, axis=1)
-    e, r, at = refine_brackets(w_plus, grid, wp, ok, segment, ROOT_TOL, owner)
+    e, r, at = refine_brackets(w_plus, grid, wp, ok, segment, ROOT_TOL, owner,
+                               ladder=True)
     out = [[] for _ in points]
     for ki, ei, ri in zip(owner[at].tolist(), e.tolist(), r.tolist()):
         out[ki].append(SpectrumPoint(energy=ei, kind="regular", residual=ri,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rabispec import analytic, heun
-from rabispec.analytic import (FIRST, MINUS, PLUS, SECOND, W_EXCL_DEFAULT,
+from rabispec.analytic import (FIRST, MINUS, PLUS, ROOT_TOL, SECOND, W_EXCL_DEFAULT,
                                ScalePoleError, build_pair, component_params,
                                eval_component, exceptional_candidates,
                                find_regular_spectra,
@@ -380,6 +380,37 @@ def test_regular_spectrum_refinement_calls(monkeypatch):
         assert q.residual == abs(real(np.array([q.energy]), P_EXC)[0][0])
 
 
+def test_regular_spectrum_takes_at_most_four_kernel_calls(monkeypatch):
+    # the sign grid and at most three ladder steps: each step samples every
+    # open bracket around its root estimate, so a good estimate closes it
+    calls = []
+    real = analytic.wronskian_grid
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analytic, "wronskian_grid", counted)
+    assert len(find_regular_spectrum(P_EXC, -1.5, 1.5)) == 3
+    assert len(calls) <= 4
+
+
+def test_regular_roots_bracket_a_sign_change():
+    # W_+ vanishes at every returned root or changes sign across root +- ROOT_TOL
+    rng = np.random.default_rng(11)
+    checked = 0
+    for g, delta, eps in zip(rng.uniform(0.05, 2.0, 20), rng.uniform(0.1, 1.5, 20),
+                             rng.uniform(-0.5, 0.5, 20)):
+        p = RabiParams(g=g, delta=delta, epsilon=eps)
+        e_min = -g * g - math.hypot(delta, eps) - 0.5
+        for q in find_regular_spectrum(p, e_min, e_min + 4.0):
+            w, _, rel = wronskian_grid(q.energy + ROOT_TOL * np.array([-1.0, 0.0, 1.0]), p)
+            assert rel.all()
+            assert w[1] == 0.0 or np.sign(w[0]) != np.sign(w[2]), (p, q.energy)
+            checked += 1
+    assert checked >= 100
+
+
 def _per_bracket(x, ok, segment, roots, resid, at):
     """refine_brackets' roots as (root, resid, found) per bracket between
     neighbouring ok samples of one segment, NaN where dropped."""
@@ -390,7 +421,13 @@ def _per_bracket(x, ok, segment, roots, resid, at):
     return root, res, found
 
 
-def test_refine_brackets_synthetic():
+# the two step policies of refine_brackets: one point per bracket, or a ladder
+STEP_POLICIES = pytest.mark.parametrize("ladder", [False, True],
+                                        ids=["chandrupatla", "ladder"])
+
+
+@STEP_POLICIES
+def test_refine_brackets_synthetic(ladder):
     seen = []
 
     def f(x):
@@ -399,7 +436,8 @@ def test_refine_brackets_synthetic():
 
     x, ok, seg = np.array([1.0, 2.0]), np.ones(2, dtype=bool), np.zeros(2)
     root, resid, found = _per_bracket(x, ok, seg,
-                                      *refine_brackets(f, x, np.cos(x), ok, seg, 1e-10))
+                                      *refine_brackets(f, x, np.cos(x), ok, seg, 1e-10,
+                                                      ladder=ladder))
     assert found[0]
     assert abs(root[0] - math.pi / 2) <= 1e-10
     assert resid[0] == abs(math.cos(root[0]))
@@ -408,19 +446,22 @@ def test_refine_brackets_synthetic():
     assert len(seen) < 20
 
 
-def test_refine_brackets_drops_unreliable_bracket_only():
+@STEP_POLICIES
+def test_refine_brackets_drops_unreliable_bracket_only(ladder):
     def f(x):
         return np.sin(x), ~((6.0 < x) & (x < 6.5))
 
     x, ok, seg = np.array([3.0, 3.5, 6.0, 6.5]), np.ones(4, dtype=bool), np.array([0, 0, 1, 1])
     root, resid, found = _per_bracket(x, ok, seg,
-                                      *refine_brackets(f, x, np.sin(x), ok, seg, 1e-9))
+                                      *refine_brackets(f, x, np.sin(x), ok, seg, 1e-9,
+                                                      ladder=ladder))
     assert found.tolist() == [True, False]
     assert abs(root[0] - math.pi) <= 1e-9
     assert math.isnan(root[1]) and math.isnan(resid[1])
 
 
-def test_refine_brackets_segments_equal_separate_calls():
+@STEP_POLICIES
+def test_refine_brackets_segments_equal_separate_calls(ladder):
     # f is continuous on each segment only: tan jumps at odd multiples of pi/2;
     # a per-sample shift rides along to f; an exact zero (x = 0), skipped
     # samples and sign changes across segment boundaries are all in the grid
@@ -433,11 +474,12 @@ def test_refine_brackets_segments_equal_separate_calls():
         return np.tan(v) - s, np.ones(v.shape, dtype=bool)
 
     fx, ok = f(x, shift)[0], np.abs(np.cos(x)) > 0.02
-    whole = refine_brackets(f, x, fx, ok, seg, 1e-12, shift)
+    whole = refine_brackets(f, x, fx, ok, seg, 1e-12, shift, ladder=ladder)
     parts = []
     for k in range(4):
         m = np.flatnonzero(seg == k)
-        roots, resid, at = refine_brackets(f, x[m], fx[m], ok[m], seg[m], 1e-12, shift[m])
+        roots, resid, at = refine_brackets(f, x[m], fx[m], ok[m], seg[m], 1e-12, shift[m],
+                                           ladder=ladder)
         parts.append((roots, resid, m[at]))
     for a, b in zip(whole, (np.concatenate(p) for p in zip(*parts))):
         assert a.tobytes() == b.tobytes()

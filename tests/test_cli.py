@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -296,3 +298,12 @@ def test_sweep_csv_markers_to_stdout(capsys):
     (row,) = [ln.split(",") for ln in lines[start + 1:]]
     assert row[1:3] == ["1", "minus"] and row[4:] == ["1", "1"]
     assert abs(float(row[0]) - 0.2) < 1e-9 and abs(float(row[3]) - 0.86) < 1e-12
+
+
+def test_python_m_rabispec_runs_without_an_install():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-m", "rabispec", "--help"],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "verify" in proc.stdout

@@ -262,6 +262,39 @@ def test_one_root_refinement_per_scan(monkeypatch):
     assert calls == [exceptional.CROSSING_GRID]
 
 
+def test_locus_refinement_samples_one_point_per_open_bracket(monkeypatch):
+    # the locus scans keep the one-point Chandrupatla steps: after the grid
+    # call, each indicator call of _locus_roots has at most one sample per
+    # bracket still open, and brackets only close
+    from rabispec import exceptional
+    real_indicator, real_roots = exceptional._senior_obstruction, exceptional._locus_roots
+    scans = []
+
+    def indicator(N, plus, p):
+        out = real_indicator(N, plus, p)
+        scans[-1][1].append(out)
+        return out
+
+    def locus_roots(combos, p, axis, values):
+        scans.append((values.size, []))
+        return real_roots(combos, p, axis, values)
+
+    monkeypatch.setattr(exceptional, "_senior_obstruction", indicator)
+    monkeypatch.setattr(exceptional, "_locus_roots", locus_roots)
+    assert scan_exceptional(RabiParams(g=0.1, delta=0.8, epsilon=0.15),
+                            g_range=(0.05, 1.2), N_max=4)
+    assert scan_exceptional(RabiParams(g=0.4, delta=0.8, epsilon=0.0),
+                            epsilon_range=(-0.6, 0.6), N_max=3)
+    assert find_crossings(0.8, 1, 2) is not None
+    assert len(scans) == 3
+    for n, (grid, *steps) in scans:
+        same_pair = np.arange(grid.size - 1) // n == np.arange(1, grid.size) // n
+        brackets = np.count_nonzero(same_pair & (grid[:-1] * grid[1:] < 0.0))
+        sizes = [v.size for v in steps]
+        assert brackets >= 1 and steps
+        assert sizes[0] <= brackets and sizes == sorted(sizes, reverse=True)
+
+
 def test_scan_below_n1_is_empty():
     # no index N >= 1 to scan: no point, along either axis
     assert scan_exceptional(P_EXC, g_range=(0.05, 1.2), N_max=0) == []

@@ -204,33 +204,7 @@ SPREAD = np.array([0.25, 0.5, 0.75])
 FILL = np.arange(1, RUNGS.size + SPREAD.size + 2) / (RUNGS.size + SPREAD.size + 2)
 
 
-def _chandrupatla_points(x1, f1, x2, f2, hist, tol, tol_x, width):
-    """One point per bracket: the midpoint, then Chandrupatla's choice."""
-    if hist is None:
-        t = np.full(x1.size, 0.5)
-    else:
-        x3, f3 = hist
-        with np.errstate(all="ignore"):
-            xi = (x1 - x2) / (x3 - x2)
-            phi = (f1 - f2) / (f3 - f2)
-            iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
-            t = np.where(iqi, f1 / (f2 - f1) * f3 / (f2 - f3)
-                         + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2), 0.5)
-            tl = 0.5 * tol_x / width
-        t = np.clip(t, tl, 1.0 - tl)
-    return (x1 + t * (x2 - x1))[:, None]
-
-
-def _chandrupatla_update(x1, f1, x2, f2, xs, fs):
-    """The point replaces the end of its own sign; the dropped end is x3."""
-    xt, ft = xs[:, 0], fs[:, 0]
-    same = np.sign(ft) == np.sign(f1)
-    x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
-    x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
-    return xt, ft, x2, f2, (x3, f3)
-
-
-def _ladder_points(x1, f1, x2, f2, hist, tol, tol_x, width):
+def _ladder_points(x1, f1, x2, f2, hist, tol):
     """The ladder of each bracket around its root estimate: the inverse
     cubic through the four samples of ``hist``, else the secant root, else
     the midpoint, whichever is first strictly inside the bracket."""
@@ -264,30 +238,20 @@ def _ladder_update(x1, f1, x2, f2, xs, fs):
             (X[r[:, None], w], F[r[:, None], w]))
 
 
-def refine_brackets(f, x, fx, ok, segment, tol, *per_sample, ladder=False):
+def refine_brackets(f, x, fx, ok, segment, tol, *per_sample):
     """Every root of f on a segmented sample grid, refined all at once.
 
     ``fx`` holds f at the samples ``x``, ``ok`` marks the usable samples and
     ``segment`` ids the runs of samples over which f is continuous.  A root
     is an ``ok`` sample where f is exactly 0, or a sign change between two
-    ``ok`` neighbours of one segment, refined in steps that make one call
-    of ``f`` each, for the brackets still open.  Two step policies share
-    everything but the choice of points:
-
-    * by default, Chandrupatla's method (Adv. Eng. Softw. 28 (1997) 145)
-      samples one point per bracket: inverse quadratic interpolation
-      through the two bracket ends and the end dropped last, or bisection
-      where Chandrupatla's test finds that unsafe.  Every new point lies at
-      least tol/2 inside the bracket, so the bracket shrinks on every step.
-    * ``ladder=True`` samples each bracket at an estimate of its root (the
-      secant root first, then inverse cubic interpolation through the four
-      samples around the last sign change), at the estimate +- 0.4 tol
-      10^k for k = 0..7 and at 1/4, 1/2 and 3/4 of the bracket, and shrinks
-      it to the first sign change among them.  An estimate within 0.4 tol
-      of the root closes the bracket, so a root takes two or three steps
-      instead of five or more.  This pays where a call of ``f`` costs about
-      the same for 20 points per bracket as for one, as ``wronskian_grid``
-      does.
+    ``ok`` neighbours of one segment, refined in ladder steps that make one
+    call of ``f`` each for the brackets still open.  A step samples each
+    bracket at an estimate of its root (the secant root first, then inverse
+    cubic interpolation through the four samples around the last sign
+    change), at the estimate +- 0.4 tol 10^k for k = 0..7 and at 1/4, 1/2
+    and 3/4 of the bracket, and shrinks it to the first sign change among
+    them.  An estimate within 0.4 tol of the root closes the bracket, so a
+    root takes two or three steps.
 
     ``f`` maps an array of points to (values, reliable); trailing
     ``per_sample`` arrays are cut to the left ends of the brackets, repeated
@@ -308,17 +272,13 @@ def refine_brackets(f, x, fx, ok, segment, tol, *per_sample, ladder=False):
     root, resid = np.empty(left.size), np.empty(left.size)
     found = np.zeros(left.size, dtype=bool)
     idx = np.arange(left.size)
-    points, update = ((_ladder_points, _ladder_update) if ladder
-                      else (_chandrupatla_points, _chandrupatla_update))
-    xs = points(x1, f1, x2, f2, None, tol, None, None)
+    xs = _ladder_points(x1, f1, x2, f2, None, tol)
     while idx.size:
         k = xs.shape[1]     # points per bracket
-        fs, rel = f(xs.ravel(), *(per_bracket if k == 1 else
-                                  [np.repeat(a, k) for a in per_bracket]))
-        rel = rel & np.isfinite(fs)
-        if k > 1:           # one unreliable point drops its bracket
-            rel = rel.reshape(xs.shape).all(axis=1)
-        x1, f1, x2, f2, hist = update(x1, f1, x2, f2, xs, fs.reshape(xs.shape))
+        fs, rel = f(xs.ravel(), *(np.repeat(a, k) for a in per_bracket))
+        # one unreliable point drops its bracket
+        rel = (rel & np.isfinite(fs)).reshape(xs.shape).all(axis=1)
+        x1, f1, x2, f2, hist = _ladder_update(x1, f1, x2, f2, xs, fs.reshape(xs.shape))
         near = np.abs(f1) < np.abs(f2)
         xm, fm = np.where(near, x1, x2), np.where(near, f1, f2)
         width = np.abs(x2 - x1)
@@ -328,7 +288,7 @@ def refine_brackets(f, x, fx, ok, segment, tol, *per_sample, ladder=False):
         resid[idx[stop]] = np.abs(fm[stop])
         found[idx[stop]] = True
         go = rel & ~stop
-        xs = points(x1, f1, x2, f2, hist, tol, tol_x, width)[go]
+        xs = _ladder_points(x1, f1, x2, f2, hist, tol)[go]
         idx, x1, f1, x2, f2 = (a[go] for a in (idx, x1, f1, x2, f2))
         per_bracket = [a[go] for a in per_bracket]
     at = np.concatenate([zero, left[found]])
@@ -394,8 +354,7 @@ def find_regular_spectra(points, e_min: float, e_max: float, grid_n: int = 600):
     # W_+ is continuous between two candidate energies of one point, so a
     # segment is a point and the number of its candidates below the sample
     segment = owner * (excl.shape[1] + 1) + np.count_nonzero(dist > 0.0, axis=1)
-    e, r, at = refine_brackets(w_plus, grid, wp, ok, segment, ROOT_TOL, owner,
-                               ladder=True)
+    e, r, at = refine_brackets(w_plus, grid, wp, ok, segment, ROOT_TOL, owner)
     out = [[] for _ in points]
     for ki, ei, ri in zip(owner[at].tolist(), e.tolist(), r.tolist()):
         out[ki].append(SpectrumPoint(energy=ei, kind="regular", residual=ri,

@@ -143,11 +143,11 @@ def scan_exceptional(p_template: RabiParams,
 
     Evaluates the signed truncation indicators of every (N, branch) with
     N = 1..N_max on the sweep grid in one array of 2 N_max grid samples,
-    refines all their sign changes in one ``refine_brackets`` call
-    (Chandrupatla's method) and keeps the points whose full two-component
-    residual passes.  One ``oracle.count_in`` batch puts the converged
-    eigenvalues within 1e-6 of each point in its ``oracle_count``;
-    ``oracle_check`` drops the points that count none.
+    refines all their sign changes in one ``refine_brackets`` call and keeps
+    the points whose full two-component residual passes.  One
+    ``oracle.count_in`` batch puts the converged eigenvalues within 1e-6 of
+    each point in its ``oracle_count``; ``oracle_check`` drops the points
+    that count none.
     """
     if (g_range is None) == (epsilon_range is None):
         raise ValueError("provide exactly one of g_range, epsilon_range")

@@ -87,9 +87,14 @@ def eigen(p: RabiParams, k: int, tol: float = 1e-9,
     eigenvalues move by less than tol, which proves them converged since
     truncated eigenvalues fall monotonically with n_c, or N_C_CAP is hit;
     converged_count counts the leading stable ones (0 without a 2nd solve).
+    A k above 2 (N_C_CAP + 1), the dimension of the capped basis, raises
+    ValueError before any solve.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if k > 2 * (N_C_CAP + 1):
+        raise ValueError(f"k = {k} exceeds the {2 * (N_C_CAP + 1)} states of the "
+                         f"basis at the cutoff cap {N_C_CAP}")
     if not (tol > 0):
         raise ValueError(f"tol must be positive, got {tol}")
     n_c = min(max(16, k), N_C_CAP)
@@ -131,7 +136,9 @@ def eigen_in_window(p: RabiParams, e_min: float, e_max: float) -> OracleResult:
     for the ``index_bound`` lowest.
 
     converged_count counts those of them that ``eigen`` reports converged,
-    i.e. whose index in its ascending list is below its converged_count.
+    i.e. whose index in its ascending list is below its converged_count.  A
+    window whose ``index_bound`` exceeds the capped basis raises ``eigen``'s
+    ValueError.
     """
     k = max(4, math.ceil(index_bound(p.g, p.delta, p.epsilon, e_max)))
     res = eigen(p, k)

@@ -15,9 +15,9 @@ import numpy as np
 
 from .model import RabiParams
 from . import heun
-from .analytic import (FAMILY, FIRST, MINUS, PLUS, SECOND, build_pair,
-                       candidate_energy, component_params, eval_component,
-                       find_regular_spectrum)
+from .analytic import (BRANCH_SIGN, FAMILY, FIRST, MINUS, PLUS, SECOND,
+                       build_pair, candidate_energy, component_params,
+                       eval_component, find_regular_spectrum)
 from .exceptional import (ExceptionalPoint, closed_form_relation,
                           constraint_residual, factorization_identity_check,
                           find_crossings, pair_separation, scan_exceptional)
@@ -121,8 +121,8 @@ def criterion_4() -> CriterionResult:
     pts = scan_exceptional(p, g_range=(0.05, 1.2), N_max=4)
     worst = 0.0
     for pt in pts:
-        sign = 1.0 if pt.branch == PLUS else -1.0
-        worst = max(worst, abs(pt.energy + pt.params.g ** 2 - sign * pt.params.epsilon - pt.N))
+        worst = max(worst, abs(pt.energy + pt.params.g ** 2
+                               - BRANCH_SIGN[pt.branch] * pt.params.epsilon - pt.N))
     ok = bool(pts) and worst <= 1e-12
     return _result(4, "unified-energy-form", t0, ok,
                    f"{len(pts)} points, max|E+g^2-+eps-N|={worst:.3e}")
@@ -165,7 +165,7 @@ def criterion_6(tol: float = heun.TRUNC_TOL) -> CriterionResult:
                         scale = max(1.0, d * d + 4 * g * g)
                     else:
                         scale = max(1.0, 64 * g * g + d ** 4 + 4 * d * d + 4.0,
-                                    (16 * g * g + 3 * d * d - (1 if branch == PLUS else -1) * 8 * eps - 6) ** 2)
+                                    (16 * g * g + 3 * d * d - BRANCH_SIGN[branch] * 8 * eps - 6) ** 2)
                     cf_small = abs(rel) <= 1e-8 * scale
                     disagreements += rec_small != cf_small
                     checked += 1

@@ -6,6 +6,8 @@ import sys
 import pytest
 
 from rabispec.cli import main
+from rabispec.exceptional import constraint_residual
+from rabispec.model import RabiParams
 
 
 def run(tmp_path, *argv):
@@ -164,13 +166,21 @@ def test_tol_reaches_the_locus_scan(tmp_path):
     assert code == 0
     assert [ln for ln in text.splitlines()
             if ln and not ln.startswith(("#", "axis_value"))] == []
-    code, text = run(tmp_path, "sweep", "--axis", "g", "--range", "0.15:0.25:2",
-                     "--e-min", "-1.5", "--e-max", "1.5", "--n-max", "1",
-                     "--tol", "1e-30")
-    assert code == 0
+    # the sweep range holds both N = 1 loci; a marker survives tol = 1e-30
+    # only where its residual is at most that
+    markers = []
+    for tol in ([], ["--tol", "1e-30"]):
+        code, text = run(tmp_path, "sweep", "--axis", "g", "--range", "0.15:0.45:2",
+                         "--e-min", "-1.5", "--e-max", "1.5", "--n-max", "1", *tol)
+        assert code == 0
+        rows = (tmp_path / "out.txt.markers.csv").read_text().splitlines()
+        markers.append([ln.split(",") for ln in rows
+                        if ln and not ln.startswith(("#", "axis_value"))])
     assert "# tol: 1e-30" in text.splitlines()
-    markers = (tmp_path / "out.txt.markers.csv").read_text().splitlines()
-    assert [ln for ln in markers if ln and not ln.startswith(("#", "axis_value"))] == []
+    assert len(markers[1]) < len(markers[0])
+    for g, N, branch, *_ in markers[1]:
+        p = RabiParams(g=float(g), delta=0.8, epsilon=0.1)
+        assert constraint_residual(int(N), branch, p) <= 1e-30
 
 
 def test_crossings_command(tmp_path):

@@ -69,6 +69,30 @@ def test_scan_g_finds_known_point():
     assert match[0].family == "second"
 
 
+def test_scan_n1_points_match_the_closed_forms():
+    # N = 1 loci: delta^2 + 4 g^2 - 1 = +-2 eps, so along g the root is
+    # g* = sqrt((1 +- 2 eps - delta^2)/4) and along eps it is
+    # eps* = +-(delta^2 + 4 g^2 - 1)/2; each root in range is found, within 1e-13
+    rng = np.random.default_rng(19)
+    checked = 0
+    for delta, eps, g in zip(rng.uniform(0.3, 1.2, 8), rng.uniform(0.05, 0.45, 8),
+                             rng.uniform(0.2, 0.8, 8)):
+        for axis, (lo, hi), p in (("g", (0.05, 1.5), RabiParams(0.1, delta, eps)),
+                                  ("epsilon", (-0.9, 0.9), RabiParams(g, delta, 0.0))):
+            pts = scan_exceptional(p, N_max=1, **{f"{axis}_range": (lo, hi)})
+            for branch, s in ((PLUS, 1.0), (MINUS, -1.0)):
+                if axis == "g":
+                    ref = math.sqrt(max(1.0 + 2.0 * s * eps - delta ** 2, 0.0) / 4.0)
+                else:
+                    ref = s * (delta ** 2 + 4.0 * g * g - 1.0) / 2.0
+                got = [getattr(pt.params, axis) for pt in pts if pt.branch == branch]
+                assert len(got) == (lo + 1e-3 < ref < hi - 1e-3), (p, branch)
+                for v in got:
+                    assert abs(v - ref) <= 1e-13, (p, branch, v - ref)
+                    checked += 1
+    assert checked >= 16
+
+
 def test_scan_g_judd_degenerate_pair():
     judd = RabiParams(g=0.1, delta=0.8, epsilon=0.0)
     pts = scan_exceptional(judd, g_range=(0.05, 1.2), N_max=1)
@@ -260,39 +284,6 @@ def test_one_root_refinement_per_scan(monkeypatch):
     calls.clear()
     assert find_crossings(0.8, 1, 2) is not None
     assert calls == [exceptional.CROSSING_GRID]
-
-
-def test_locus_refinement_samples_one_point_per_open_bracket(monkeypatch):
-    # the locus scans keep the one-point Chandrupatla steps: after the grid
-    # call, each indicator call of _locus_roots has at most one sample per
-    # bracket still open, and brackets only close
-    from rabispec import exceptional
-    real_indicator, real_roots = exceptional._senior_obstruction, exceptional._locus_roots
-    scans = []
-
-    def indicator(N, plus, p):
-        out = real_indicator(N, plus, p)
-        scans[-1][1].append(out)
-        return out
-
-    def locus_roots(combos, p, axis, values):
-        scans.append((values.size, []))
-        return real_roots(combos, p, axis, values)
-
-    monkeypatch.setattr(exceptional, "_senior_obstruction", indicator)
-    monkeypatch.setattr(exceptional, "_locus_roots", locus_roots)
-    assert scan_exceptional(RabiParams(g=0.1, delta=0.8, epsilon=0.15),
-                            g_range=(0.05, 1.2), N_max=4)
-    assert scan_exceptional(RabiParams(g=0.4, delta=0.8, epsilon=0.0),
-                            epsilon_range=(-0.6, 0.6), N_max=3)
-    assert find_crossings(0.8, 1, 2) is not None
-    assert len(scans) == 3
-    for n, (grid, *steps) in scans:
-        same_pair = np.arange(grid.size - 1) // n == np.arange(1, grid.size) // n
-        brackets = np.count_nonzero(same_pair & (grid[:-1] * grid[1:] < 0.0))
-        sizes = [v.size for v in steps]
-        assert brackets >= 1 and steps
-        assert sizes[0] <= brackets and sizes == sorted(sizes, reverse=True)
 
 
 def test_scan_below_n1_is_empty():

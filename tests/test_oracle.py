@@ -280,3 +280,13 @@ def test_delta_reflection_leaves_windows_unchanged():
                 for s in (d[i], -d[i]))
         assert a.converged_count == b.converged_count == b.eigenvalues.size == counts[i]
         np.testing.assert_allclose(b.eigenvalues, a.eigenvalues, rtol=0, atol=1e-9)
+
+
+def test_eigen_rejects_more_states_than_the_capped_basis(monkeypatch):
+    # the capped basis holds 2 (N_C_CAP + 1) = 26 states; asking for 27 must
+    # not return 26 values as if they were the 27 lowest
+    monkeypatch.setattr(oracle, "N_C_CAP", 12)
+    p = RabiParams(g=0.2, delta=0.8, epsilon=0.1)
+    with pytest.raises(ValueError, match="cutoff cap 12"):
+        eigen(p, 27)
+    assert eigen(p, 26).eigenvalues.size == 26

@@ -421,7 +421,12 @@ def _per_bracket(x, ok, segment, roots, resid, at):
     return root, res, found
 
 
-def test_refine_brackets_synthetic():
+# the refinement under test; its id names the step rule in test reports
+STEP_RULE = pytest.mark.parametrize("refine", [refine_brackets], ids=["ladder"])
+
+
+@STEP_RULE
+def test_refine_brackets_synthetic(refine):
     seen = []
 
     def f(x):
@@ -430,7 +435,7 @@ def test_refine_brackets_synthetic():
 
     x, ok, seg = np.array([1.0, 2.0]), np.ones(2, dtype=bool), np.zeros(2)
     root, resid, found = _per_bracket(x, ok, seg,
-                                      *refine_brackets(f, x, np.cos(x), ok, seg, 1e-10))
+                                      *refine(f, x, np.cos(x), ok, seg, 1e-10))
     assert found[0]
     assert abs(root[0] - math.pi / 2) <= 1e-10
     assert resid[0] == abs(math.cos(root[0]))
@@ -439,19 +444,21 @@ def test_refine_brackets_synthetic():
     assert len(seen) < 20
 
 
-def test_refine_brackets_drops_unreliable_bracket_only():
+@STEP_RULE
+def test_refine_brackets_drops_unreliable_bracket_only(refine):
     def f(x):
         return np.sin(x), ~((6.0 < x) & (x < 6.5))
 
     x, ok, seg = np.array([3.0, 3.5, 6.0, 6.5]), np.ones(4, dtype=bool), np.array([0, 0, 1, 1])
     root, resid, found = _per_bracket(x, ok, seg,
-                                      *refine_brackets(f, x, np.sin(x), ok, seg, 1e-9))
+                                      *refine(f, x, np.sin(x), ok, seg, 1e-9))
     assert found.tolist() == [True, False]
     assert abs(root[0] - math.pi) <= 1e-9
     assert math.isnan(root[1]) and math.isnan(resid[1])
 
 
-def test_refine_brackets_segments_equal_separate_calls():
+@STEP_RULE
+def test_refine_brackets_segments_equal_separate_calls(refine):
     # f is continuous on each segment only: tan jumps at odd multiples of pi/2;
     # a per-sample shift rides along to f; an exact zero (x = 0), skipped
     # samples and sign changes across segment boundaries are all in the grid
@@ -464,11 +471,11 @@ def test_refine_brackets_segments_equal_separate_calls():
         return np.tan(v) - s, np.ones(v.shape, dtype=bool)
 
     fx, ok = f(x, shift)[0], np.abs(np.cos(x)) > 0.02
-    whole = refine_brackets(f, x, fx, ok, seg, 1e-12, shift)
+    whole = refine(f, x, fx, ok, seg, 1e-12, shift)
     parts = []
     for k in range(4):
         m = np.flatnonzero(seg == k)
-        roots, resid, at = refine_brackets(f, x[m], fx[m], ok[m], seg[m], 1e-12, shift[m])
+        roots, resid, at = refine(f, x[m], fx[m], ok[m], seg[m], 1e-12, shift[m])
         parts.append((roots, resid, m[at]))
     for a, b in zip(whole, (np.concatenate(p) for p in zip(*parts))):
         assert a.tobytes() == b.tobytes()

@@ -12,27 +12,28 @@ At an energy eigenvalue the families are linearly dependent, so the Wronskians
 
 vanish.  The coupled first-order system gives W_+ = Delta K/(z + g) and
 W_- = -Delta K/(z - g) with one cross-family combination K, so at z = 0 the
-two are one function and only W_+ is computed.  The regular spectrum is
-found as sign-change zeros of W_+ in E at z = 0, with exclusion windows
-around the candidate energies N - g^2 +- eps where the series recurrence has
-poles (exceptional-point territory).
+two are one function and only W_+ is computed.  W_+ has simple poles at the
+candidate energies N - g^2 +- eps, where the series recurrence has poles
+(exceptional-point territory).  The regular spectrum is found as the zeros
+of the pole-cancelled W~(E) = W_+(E) prod_c (E - E_c): W~ is analytic, so
+its Chebyshev interpolant on pieces of the energy window converges
+geometrically, and ``cheb_roots`` takes the interpolant's real roots as
+eigenvalues of the colleague matrix.  At an exceptional point the pole is
+lifted, as for Braak's G-function (PRL 107, 100401 (2011)), so W~ vanishes
+at the candidate with no level behind it.
 
-``refine_brackets`` is the one root scan: it takes the exact zeros and
-refines the sign changes of f on a sample grid cut into segments where f is
-continuous; the regular levels and the exceptional loci both come from it.
 ``wronskian_grid`` stacks the two series psi_+^1 and psi_+^2 of a whole
 array of energies, with parameters from the ``model`` maps, and
 ``heun.sum_stack`` sums them in one recurrence; g, delta and eps may be
 arrays, one entry per energy, since at z = 0 every parameter point puts its
-series at x = 1/2.
-``find_regular_spectra`` therefore searches many points (a sweep) as one
-batch: their sign grids share one ``wronskian_grid`` call and one
-``refine_brackets`` call, which makes one ``wronskian_grid`` call per step.
-A kernel call costs about the same for 10 energies as for 100, so each step
-samples every open bracket at a ladder of points around its root estimate.
-``find_regular_spectrum`` is the one-point case.  ``build_pair`` and
-``eval_component`` build one family's series on their own and evaluate them
-at any z, away from z = 0 too.
+series at x = 1/2.  ``find_regular_spectra`` therefore searches many points
+(a sweep) as one batch: the Chebyshev nodes of every piece of every point
+are one ``wronskian_grid`` call, and polishing and confirming the roots one
+call each.  ``find_regular_spectrum`` is the one-point case.
+``refine_brackets`` refines the sign changes of a function on a segmented
+sample grid in ladder steps; the exceptional loci come from it.
+``build_pair`` and ``eval_component`` build one family's series on their
+own and evaluate them at any z, away from z = 0 too.
 """
 from __future__ import annotations
 
@@ -60,7 +61,11 @@ SIGN = {FIRST: -1.0, SECOND: 1.0}
 BRANCH_SIGN = {PLUS: 1.0, MINUS: -1.0}
 
 W_EXCL_DEFAULT = 1e-3    # half-width of the exclusion window around a candidate
-ROOT_TOL = 1e-9          # bracket width at which a Wronskian root is accepted
+# a Wronskian root within ROOT_TOL of a candidate is a lifted pole, and a
+# kept root changes sign across root +- 0.5 ROOT_TOL 10^k for some k = 0..4
+ROOT_TOL = 1e-9
+CHEB_M = 32              # Chebyshev nodes per piece of a regular-spectrum window
+PIECE_WIDTH = 2.0        # widest piece of a regular-spectrum window
 
 
 class ScalePoleError(ValueError):
@@ -171,7 +176,7 @@ def wronskian_grid(E: np.ndarray, p: RabiParams):
     batch.
     """
     # count_nonzero: np.any costs a few microseconds more on a scalar p, and
-    # a refinement step calls this kernel for a handful of energies
+    # a one-point search polishes its roots in a call of a few energies
     if np.count_nonzero(p.g == 0.0):
         raise ValueError("g = 0 is not supported by the analytic path")
     E = np.asarray(E, dtype=float)
@@ -297,68 +302,145 @@ def refine_brackets(f, x, fx, ok, segment, tol, *per_sample):
             np.concatenate([np.abs(fx[zero]), resid[found]])[order], at[order])
 
 
+def cheb_roots(coef):
+    """Real roots in [-1, 1] of Chebyshev series, one per row of ``coef``.
+
+    Trailing coefficients at or below 1e-15 of a row's largest are trimmed.
+    The roots of a row of degree d >= 1 are the eigenvalues of its
+    colleague matrix (Boyd, SIAM J. Numer. Anal. 40, 1666 (2002)), whose
+    rows state x T_0 = T_1 and x T_k = (T_{k-1} + T_{k+1})/2, with T_d
+    eliminated by the series; one ``eigvals`` call serves every row of one
+    degree.  An eigenvalue is kept when |Im| < 1e-8 and |Re| <= 1 + 1e-6.
+    Returns (row of each root, root).
+    """
+    mag = np.abs(coef)
+    big = mag > 1e-15 * mag.max(axis=1, keepdims=True)
+    deg = coef.shape[1] - 1 - np.argmax(big[:, ::-1], axis=1)
+    rows, xs = [np.zeros(0, dtype=int)], [np.zeros(0)]
+    for d in np.unique(deg[deg > 0]).tolist():
+        sel = np.flatnonzero(deg == d)
+        c = coef[sel, :d + 1]
+        col = np.zeros((sel.size, d, d))
+        k = np.arange(1, d)
+        col[:, 0, 1:2] = 1.0
+        col[:, k, k - 1] = 0.5
+        col[:, k[:-1], k[:-1] + 1] = 0.5
+        col[:, -1, :] -= c[:, :d] / ((1.0 if d == 1 else 2.0) * c[:, d:])
+        x = np.linalg.eigvals(col)
+        real = (np.abs(x.imag) < 1e-8) & (np.abs(x.real) <= 1.0 + 1e-6)
+        rows.append(np.broadcast_to(sel[:, None], x.shape)[real])
+        xs.append(x.real[real])
+    return np.concatenate(rows), np.concatenate(xs)
+
+
 def find_regular_spectra(points, e_min: float, e_max: float, grid_n: int = 600):
     """Regular spectra of several parameter points: zeros of W_+(E, 0) in E.
 
-    Each point has its own sign grid: grid_n energies plus samples hugging
-    the edges of the exclusion windows around its candidate energies
-    N - g^2 +- eps, where W_+ has poles.  At z = 0 every point's series sit
-    at x = 1/2, so the grids of all points are evaluated in one
-    ``wronskian_grid`` call with per-element (g, delta, eps).  Samples inside
-    a window or unreliable are not used, and a segment of the grid is one
-    point between two of its candidate energies, so no bracket spans a
-    skipped sample, a candidate energy or two points.  ``refine_brackets``
-    finds the roots of all points together, refined to a width of ROOT_TOL
-    in ladder steps: one ``wronskian_grid`` call per step samples every
-    open bracket about 20 times around its root estimate, and most roots
-    close after two steps.  A root's residual is |W_+| there.  The window
-    half-width is W_EXCL_DEFAULT, read at call time like ROOT_TOL.  Returns
-    one ascending list of SpectrumPoint per point.
+    W_+ has simple poles at the candidate energies N - g^2 +- eps, so each
+    point's window is cut into equal pieces no wider than PIECE_WIDTH and
+    the piece's pole-cancelled W~(E) = W_+(E) prod_c (E - E_c), with one
+    factor per candidate (N, branch) within 1 of the piece, is analytic on
+    it.  W~ is sampled at CHEB_M first-kind Chebyshev nodes per piece; the
+    Chebyshev coefficients, with trailing ones at or below 1e-15 of the
+    largest trimmed, give the real roots of the interpolant as eigenvalues
+    of the colleague matrix.  One secant step on W~ through root +- 1e-9
+    polishes every root, and a root is kept only where W_+ vanishes or
+    changes sign across root +- 0.5 ROOT_TOL 10^k for some k = 0..4, and
+    where it lies in its own piece (half-open) and farther than
+    max(W_EXCL_DEFAULT, ROOT_TOL) from every candidate energy; both are
+    read at call time.  At an exceptional point the pole is lifted and W~
+    vanishes at the candidate, so the ROOT_TOL part of that distance drops
+    such zeros.  A piece with an unreliable node yields no roots.
+
+    At z = 0 every point's series sit at x = 1/2, so the nodes of all
+    pieces of all points are one ``wronskian_grid`` call with per-element
+    (g, delta, eps), and the polishing and the confirmation are one call
+    each: three calls per search.  A root's residual is |W_+| there.
+    ``grid_n`` is still accepted and checked (>= 100) but sets no sample
+    count.  Returns one ascending list of SpectrumPoint per point.
     """
     if not (e_min < e_max):
         raise ValueError(f"need e_min < e_max, got [{e_min}, {e_max}]")
     if grid_n < 100:
         raise ValueError(f"grid_n must be >= 100, got {grid_n}")
     P = len(points)
+    if not P:
+        return []
+    n_pc = math.ceil((e_max - e_min) / PIECE_WIDTH)
+    edges = np.linspace(e_min, e_max, n_pc + 1)
+    a, b = np.tile(edges[:-1], P), np.tile(edges[1:], P)    # piece rows
+    owner = np.repeat(np.arange(P), n_pc)
     cands = [[E for (_, _, E) in exceptional_candidates(p, e_min - 1.0, e_max + 1.0)]
              for p in points]
-    # candidate energies per point, padded with +inf (outside every window)
-    excl = np.full((P, max(map(len, cands), default=0)), np.inf)
+    # each row's candidates within 1 of its piece, in ascending order and
+    # padded with NaN, so a root multiplies the same factors as its row
+    excl = np.full((P, max(map(len, cands))), np.nan)
     for i, c in enumerate(cands):
         excl[i, :len(c)] = c
+    near = excl[owner]
+    near[~((a[:, None] - 1.0 <= near) & (near <= b[:, None] + 1.0))] = np.nan
     # a field that every point shares stays a scalar (one point has only
     # such fields), so the kernel does no per-element arithmetic for it
     per_point = {}
     for f in ("g", "delta", "epsilon"):
         v = np.array([getattr(p, f) for p in points], dtype=float)
-        per_point[f] = v[0] if P and (v == v[0]).all() else v
+        per_point[f] = v[0] if (v == v[0]).all() else v
 
     def w_plus(e, k):
+        """W_+ and its reliability at energies ``e`` (K, m) of points ``k`` (K,)."""
+        k = np.repeat(k, e.shape[1])
         p = RabiParams(**{f: v if v.ndim == 0 else v[k] for f, v in per_point.items()})
-        wp, _, rel = wronskian_grid(e, p)
-        return wp, rel
+        wp, _, rel = wronskian_grid(e.ravel(), p)
+        return wp.reshape(e.shape), (rel & np.isfinite(wp)).reshape(e.shape)
 
-    # base grid plus samples hugging each exclusion-window edge: levels repelled
-    # by a nearby pole often sit just outside the window, between grid points;
-    # the grids of all points are stacked, each ascending, in point order
-    edges = excl[:, :, None] + W_EXCL_DEFAULT * np.array([-1.02, 1.02, -2.5, 2.5])
-    edges = edges.reshape(P, 4 * excl.shape[1])
-    inside = (e_min <= edges) & (edges <= e_max)
-    grid = np.concatenate([np.tile(np.linspace(e_min, e_max, grid_n), P), edges[inside]])
-    owner = np.concatenate([np.repeat(np.arange(P), grid_n), np.nonzero(inside)[0]])
-    order = np.lexsort((grid, owner))
-    grid, owner = grid[order], owner[order]
-    wp, rel = w_plus(grid, owner)
-    dist = grid[:, None] - excl[owner]
-    ok = rel & np.all(np.abs(dist) > W_EXCL_DEFAULT, axis=1)
-    # W_+ is continuous between two candidate energies of one point, so a
-    # segment is a point and the number of its candidates below the sample
-    segment = owner * (excl.shape[1] + 1) + np.count_nonzero(dist > 0.0, axis=1)
-    e, r, at = refine_brackets(w_plus, grid, wp, ok, segment, ROOT_TOL, owner)
+    def pole_free(e, rows):
+        """W~ and its reliability at energies ``e`` (K, m) of piece ``rows`` (K,)."""
+        w, rel = w_plus(e, owner[rows])
+        for c in near[rows].T:          # a NaN candidate multiplies by 1
+            d = e - c[:, None]
+            w = w * np.where(np.isnan(d), 1.0, d)
+        return w, rel
+
+    # W~ at the nodes, scaled to max 1 per piece; c_n = (2/M) sum_k W~(x_k)
+    # T_n(x_k), halved at n = 0, is a multiply and sum, so that a piece's
+    # coefficients do not depend on the other pieces
+    theta = np.pi * (np.arange(CHEB_M) + 0.5) / CHEB_M
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    w, rel = pole_free(mid[:, None] + half[:, None] * np.cos(theta), np.arange(a.size))
+    with np.errstate(all="ignore"):
+        w = w / np.max(np.abs(w), axis=1, keepdims=True)
+    good = np.flatnonzero(rel.all(axis=1) & np.isfinite(w).all(axis=1))
+    coef = (w[good, None, :] * np.cos(np.outer(np.arange(CHEB_M), theta))).sum(axis=2)
+    coef *= 2.0 / CHEB_M
+    coef[:, 0] *= 0.5
+    rows, x = cheb_roots(coef)
+    rows = good[rows]
+    root = mid[rows] + half[rows] * x
+
+    # polish: one secant step on W~ through root +- h
+    h = 1e-9
+    w, ok = pole_free(root[:, None] + np.array([-h, h]), rows)
+    with np.errstate(all="ignore"):
+        step = h * (w[:, 1] + w[:, 0]) / (w[:, 1] - w[:, 0])
+    root = root - np.where(ok.all(axis=1) & np.isfinite(step), step, 0.0)
+
+    # confirm: W_+ at the root, and a sign change across one pair around it
+    n = 5
+    offs = 0.5 * ROOT_TOL * 10.0 ** np.arange(n)
+    wp, rel = w_plus(root[:, None] + np.concatenate([[0.0], -offs, offs]), owner[rows])
+    flips = (rel[:, 1:n + 1] & rel[:, n + 1:]
+             & (np.sign(wp[:, 1:n + 1]) * np.sign(wp[:, n + 1:]) < 0.0)).any(axis=1)
+    lo, hi = a[rows], b[rows]
+    keep = (rel[:, 0] & ((wp[:, 0] == 0.0) | flips)
+            & (lo <= root) & ((root < hi) | ((root == hi) & (hi == e_max)))
+            & ~(np.abs(root[:, None] - excl[owner[rows]])
+                <= max(W_EXCL_DEFAULT, ROOT_TOL)).any(axis=1))
     out = [[] for _ in points]
-    for ki, ei, ri in zip(owner[at].tolist(), e.tolist(), r.tolist()):
-        out[ki].append(SpectrumPoint(energy=ei, kind="regular", residual=ri,
-                                     provenance="wronskian"))
+    order = np.lexsort((root, owner[rows]))
+    for i in order[keep[order]].tolist():
+        out[owner[rows[i]]].append(SpectrumPoint(
+            energy=float(root[i]), kind="regular", residual=float(abs(wp[i, 0])),
+            provenance="wronskian"))
     return out
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from rabispec import analytic, heun
 from rabispec.analytic import (FIRST, MINUS, PLUS, ROOT_TOL, SECOND, W_EXCL_DEFAULT,
-                               ScalePoleError, build_pair, component_params,
+                               ScalePoleError, build_pair, cheb_roots, component_params,
                                eval_component, exceptional_candidates,
                                find_regular_spectra,
                                find_regular_spectrum,
@@ -482,3 +482,80 @@ def test_refine_brackets_segments_equal_separate_calls(refine):
     assert whole[0].size == 3 and whole[1][0] == 0.0
     assert np.all(np.diff(whole[2]) > 0)
     assert np.all(np.abs(np.tan(whole[0]) - shift[whole[2]]) <= 1e-9)
+
+
+def test_cheb_roots_trims_exact_zero_top_coefficients():
+    # (x - 0.3)(x + 0.5) = 0.35 T_0 + 0.2 T_1 + 0.5 T_2, padded with exact
+    # zeros: untrimmed, the colleague matrix would divide by the zero top
+    # coefficient; a constant and a series with roots outside [-1, 1] have none
+    coef = np.array([[0.35, 0.2, 0.5, 0.0, 0.0],
+                     [1.0, 0.0, 0.0, 0.0, 0.0],
+                     [5.0, 0.0, 1.0, 1e-16, 0.0],
+                     [0.0, 1.0, 0.0, 0.0, 1e-17]])
+    rows, x = cheb_roots(coef)
+    order = np.lexsort((x, rows))
+    assert rows[order].tolist() == [0, 0, 3]
+    assert np.allclose(x[order], [-0.5, 0.3, 0.0], atol=1e-14)
+
+
+def test_regular_spectrum_through_trimmed_pieces():
+    # a criterion-9 sweep point (eps = 0.15) whose pieces have top Chebyshev
+    # coefficients at rounding level: every oracle eigenvalue outside the
+    # exclusion windows has its root
+    g = float(np.linspace(0.05, 1.2, 120)[57])
+    p = RabiParams(g=g, delta=0.8, epsilon=0.15)
+    roots = np.array([q.energy for q in find_regular_spectrum(p, -1.5, 3.0)])
+    cands = np.array([e for _, _, e in exceptional_candidates(p, -2.5, 4.0)])
+    eigs = oracle.eigen_in_window(p, -1.5, 3.0).eigenvalues
+    want = [e for e in eigs if np.min(np.abs(cands - e)) > W_EXCL_DEFAULT]
+    assert len(want) == roots.size == 8
+    for e in want:
+        assert np.min(np.abs(roots - e)) <= 1e-9
+
+
+def test_regular_spectra_take_three_kernel_calls(monkeypatch):
+    # the nodes of every piece of every point, the polishing step and the
+    # confirmation are one wronskian_grid call each
+    sizes = []
+    real = analytic.wronskian_grid
+
+    def counted(E, p):
+        sizes.append(E.size)
+        return real(E, p)
+
+    monkeypatch.setattr(analytic, "wronskian_grid", counted)
+    pts = [RabiParams(g=g, delta=0.8, epsilon=0.1) for g in (0.1, 0.4, 1.1)]
+    found = sum(map(len, find_regular_spectra(pts, -1.5, 3.0)))
+    assert len(sizes) == 3
+    assert sizes[0] == 3 * 3 * analytic.CHEB_M      # three pieces per point
+    assert found >= 15
+
+
+def test_unreliable_node_drops_its_piece_only(monkeypatch):
+    # one unreliable node in the middle piece of (-1.5, 3.0): that piece
+    # yields no root and raises nothing, the others are unchanged, and
+    # assemble fills the missing levels from the oracle
+    from rabispec.spectrum import assemble
+    p = RabiParams(g=0.4, delta=0.8, epsilon=0.1)
+    whole = [q.energy for q in find_regular_spectrum(p, -1.5, 3.0)]
+    lost = [e for e in whole if 0.0 <= e < 1.5]
+    assert lost
+    real = analytic.wronskian_grid
+    calls = []
+
+    def one_bad_node(E, q):
+        wp, wm, rel = real(E, q)
+        if not calls:
+            rel = rel.copy()
+            rel[np.argmin(np.abs(E - 0.75))] = False
+        calls.append(E.size)
+        return wp, wm, rel
+
+    monkeypatch.setattr(analytic, "wronskian_grid", one_bad_node)
+    got = [q.energy for q in find_regular_spectrum(p, -1.5, 3.0)]
+    assert got == [e for e in whole if not 0.0 <= e < 1.5]
+    calls.clear()
+    pts = assemble(p, (-1.5, 3.0), N_max=2)
+    filled = [q.energy for q in pts if q.provenance == "oracle-assisted"]
+    assert len(filled) == len(lost)
+    assert np.allclose(filled, lost, atol=1e-9)

@@ -40,3 +40,15 @@ def test_no_package_import_inside_a_function():
                 found.update(f"{m}.py:{node.lineno}" for node in ast.walk(fn)
                              if isinstance(node, ast.ImportFrom) and node.level > 0)
     assert not found, sorted(found)
+
+
+def test_analytic_import_leaves_numpy_polynomial_unloaded():
+    # the Chebyshev roots come from np.linalg.eigvals; loading
+    # numpy.polynomial would add about 2.5 ms to the import of the package
+    code = ("import sys\n"
+            "import rabispec, rabispec.analytic\n"
+            "assert 'numpy.polynomial' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -206,3 +206,15 @@ def test_sweep_counts_on_the_oracle_once(monkeypatch):
                 e_window=(-1.5, 3.0), N_max=2)
     assert res.marker_groups
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p, window", [
+    (RabiParams(g=0.5, delta=0.8, epsilon=0.1), (-1.5, 12.0)),
+    (RabiParams(g=1.0, delta=0.8, epsilon=0.25), (-2.0, 8.0)),
+])
+def test_wide_window_needs_no_oracle_fill(p, window):
+    # the window is cut into pieces no wider than 2: one interpolant over
+    # all of it loses most levels to W~'s dynamic range
+    pts = assemble(p, window)
+    assert len(pts) >= 19
+    assert not [q for q in pts if q.provenance == "oracle-assisted"]
